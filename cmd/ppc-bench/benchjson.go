@@ -89,7 +89,7 @@ type benchResult struct {
 // (MST/NN-chain engines vs the retained generic reference at n=500) and
 // the FastPAM1-backed PAM at the swap-round scale (n=512, k=8), since
 // PR 3 the session-pipeline family (a whole session over
-// latency-injecting TP links, phase-serial third party vs the pipelined
+// latency-injecting TP links through the third party's pipelined
 // session engine; n is the global object count), since PR 4 the
 // session-stream family: one big-triangle attribute over
 // bandwidth-limited store-and-forward links, sweeping the local-matrix
@@ -226,11 +226,8 @@ func benchFamilies() []struct {
 
 	// session-pipeline: a full 3-holder mixed-attribute session whose
 	// TP links carry 1ms (+0.5ms jitter) of per-frame receive latency —
-	// the WAN shape the pipelined session engine exists for. The serial
-	// row is the phase-serial reference third party (Config.SerialTP);
-	// the pipelined row overlaps attribute assembly with wire I/O.
-	// Reports are bit-identical between the two (pinned by
-	// internal/party's differential tests); only wall-clock may differ.
+	// the WAN shape the third party's stage pipeline exists for: it
+	// overlaps attribute assembly with wire I/O.
 	sessSchema := dataset.Schema{Attrs: []dataset.Attribute{
 		{Name: "age", Type: dataset.Numeric},
 		{Name: "income", Type: dataset.Numeric},
@@ -251,13 +248,12 @@ func benchFamilies() []struct {
 		}
 		sessParts = append(sessParts, dataset.Partition{Site: site, Table: tab})
 	}
-	sessionPipeline := func(b *testing.B, serial bool) {
-		cfg := party.Config{Schema: sessSchema, Variant: party.Float64Variant, SerialTP: serial}
+	sessionPipeline := func(b *testing.B) {
+		cfg := party.Config{Schema: sessSchema, Variant: party.Float64Variant}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			// Fresh seed counter per session: both family rows and every
-			// iteration see the identical per-link jitter schedule, so
-			// serial vs pipelined differ only in the engine under test.
+			// Fresh seed counter per session: every iteration sees the
+			// identical per-link jitter schedule.
 			latencySeed := uint64(0)
 			tpLatency := func(owner, peer string, c wire.Conduit) wire.Conduit {
 				if owner != party.TPName {
@@ -296,8 +292,8 @@ func benchFamilies() []struct {
 		}
 		streamParts = append(streamParts, dataset.Partition{Site: spec.site, Table: tab})
 	}
-	sessionStream := func(b *testing.B, parts []dataset.Partition, serial bool, chunkBytes int) {
-		cfg := party.Config{Schema: streamSchema, Variant: party.Float64Variant, SerialTP: serial, LocalChunkBytes: chunkBytes}
+	sessionStream := func(b *testing.B, parts []dataset.Partition, chunkBytes int) {
+		cfg := party.Config{Schema: streamSchema, Variant: party.Float64Variant, LocalChunkBytes: chunkBytes}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			linkSeed := uint64(0)
@@ -594,17 +590,14 @@ func benchFamilies() []struct {
 		{"hcluster-silhouette/parallel", 500, func(b *testing.B) { silhouette(b, 0) }},
 		{"pam-swap/serial", 512, func(b *testing.B) { pamRun(b, 1) }},
 		{"pam-swap/parallel", 512, func(b *testing.B) { pamRun(b, 0) }},
-		{"session-pipeline/serial", 75, func(b *testing.B) { sessionPipeline(b, true) }},
-		{"session-pipeline/pipelined", 75, func(b *testing.B) { sessionPipeline(b, false) }},
-		{"session-stream/serial", 1206, func(b *testing.B) { sessionStream(b, streamParts, true, -1) }},
-		{"session-stream/pipelined-mono", 1206, func(b *testing.B) { sessionStream(b, streamParts, false, -1) }},
-		{"session-stream/chunk-256k", 1206, func(b *testing.B) { sessionStream(b, streamParts, false, 256<<10) }},
-		{"session-stream/chunk-64k", 1206, func(b *testing.B) { sessionStream(b, streamParts, false, 64<<10) }},
-		{"session-stream/chunk-4k", 1206, func(b *testing.B) { sessionStream(b, streamParts, false, 4<<10) }},
-		{"session-stream/both-large-serial", 1200, func(b *testing.B) { sessionStream(b, bothParts, true, -1) }},
-		{"session-stream/both-large-mono", 1200, func(b *testing.B) { sessionStream(b, bothParts, false, -1) }},
-		{"session-stream/both-large-chunk-256k", 1200, func(b *testing.B) { sessionStream(b, bothParts, false, 256<<10) }},
-		{"session-stream/both-large-chunk-64k", 1200, func(b *testing.B) { sessionStream(b, bothParts, false, 64<<10) }},
+		{"session-pipeline/pipelined", 75, sessionPipeline},
+		{"session-stream/pipelined-mono", 1206, func(b *testing.B) { sessionStream(b, streamParts, -1) }},
+		{"session-stream/chunk-256k", 1206, func(b *testing.B) { sessionStream(b, streamParts, 256<<10) }},
+		{"session-stream/chunk-64k", 1206, func(b *testing.B) { sessionStream(b, streamParts, 64<<10) }},
+		{"session-stream/chunk-4k", 1206, func(b *testing.B) { sessionStream(b, streamParts, 4<<10) }},
+		{"session-stream/both-large-mono", 1200, func(b *testing.B) { sessionStream(b, bothParts, -1) }},
+		{"session-stream/both-large-chunk-256k", 1200, func(b *testing.B) { sessionStream(b, bothParts, 256<<10) }},
+		{"session-stream/both-large-chunk-64k", 1200, func(b *testing.B) { sessionStream(b, bothParts, 64<<10) }},
 		{"session-multitenant/4x120", 480, func(b *testing.B) { multiTenant(b, 4, 60) }},
 		{"session-multitenant/1x480", 480, func(b *testing.B) { multiTenant(b, 1, 240) }},
 		{"session-sharded/shards-1", 1200, func(b *testing.B) { sessionSharded(b, 1) }},

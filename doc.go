@@ -67,23 +67,25 @@
 // nearest/second-nearest medoid distances score every swap in O(n²) per
 // round instead of O(kn²)): ≈17-24× faster at n=512, k=8.
 //
-// # Pipelined third-party session engine
+// # The third party's session driver
 //
 // The third party "serves as a means of computation power and storage
 // space" (paper Section 3); on real links its session work is dominated
-// by waiting for holder traffic. Its session engine therefore runs as a
-// bounded pipeline. Each holder streams its attributes independently —
+// by waiting for holder traffic. Its one session driver therefore runs
+// as a bounded pipeline, the same body whether the third party is single
+// or split into row-range shards (Options.TPShards; the single third
+// party is the one-shard case). Each holder streams its attributes independently —
 // for every attribute, in schema order: the local dissimilarity matrix,
 // then that attribute's protocol messages — and at the third party one
 // reader goroutine per holder demultiplexes the stream into bounded
 // per-attribute mailboxes:
 //
-//	holder A ──recv──▶ demux A ─┐  lane 0   ┌─ stage: receive → assemble → normalize ─▶ matrix 0
-//	holder B ──recv──▶ demux B ─┼─ lane 1 ─▶┤  (pool of ≤4 stage goroutines, capped by
-//	holder C ──recv──▶ demux C ─┘  lane …   └─  Parallelism, one pooled engine each)  ─▶ matrix …
+//	holder A ──recv──▶ demux A ─┐  lane 0   ┌─ stage: receive → assemble ─▶ slice 0 ─┐
+//	holder B ──recv──▶ demux B ─┼─ lane 1 ─▶┤  (pool of ≤4 stage goroutines,         ├─▶ merge → normalize
+//	holder C ──recv──▶ demux C ─┘  lane …   └─  capped by Parallelism)   ─▶ slice … ─┘
 //
 // A pool of stage goroutines pulls whole attributes through receive →
-// assemble → normalize, so attribute i's matrix completes while attribute
+// evaluate → assemble, so attribute i's matrix completes while attribute
 // i+1 is still on the wire, and clustering starts the moment the last
 // matrix lands. The mailboxes are bounded, so a fast sender can run only
 // a fixed distance ahead of assembly.
@@ -115,15 +117,16 @@
 // holder's send order, stages consume holders in session order and pairs
 // in the fixed (J, K) enumeration, every stage writes only its own
 // attribute's slot, and all protocol randomness is seeded per (attribute,
-// pair) — so the published report is bit-identical to the phase-serial
-// reference path (and to the centralized baseline) at any worker count,
-// chunk size or pipeline schedule; tie-breaks never depend on arrival
-// timing. Overlap pays off whenever link time per attribute is comparable
-// to assembly compute — WAN links, many attributes, or large payloads; on
-// loss-free in-memory conduits it is simply neutral. The serial path
-// remains available for benchmarking and differential tests (it
-// reassembles the chunk streams into the monolithic installs, pinning
-// that chunking is pure framing).
+// pair) — so the published report is bit-identical to a phase-serial
+// reference third party (and to the centralized baseline) at any worker
+// count, shard count, chunk size or pipeline schedule; tie-breaks never
+// depend on arrival timing. Overlap pays off whenever link time per
+// attribute is comparable to assembly compute — WAN links, many
+// attributes, or large payloads; on loss-free in-memory conduits it is
+// simply neutral. The phase-serial reference is a test-only driver: it
+// reassembles the chunk streams into the monolithic installs, and the
+// differential tests hold the session driver to it, pinning that
+// chunking, pipelining and sharding are pure scheduling.
 //
 // The wire layer keeps the chunked stream allocation-lean: message encode
 // buffers are pooled across sends, the AES-GCM layer reuses its seal
@@ -171,10 +174,10 @@
 // writes the machine-readable perf-regression report — BENCH_1.json, then
 // BENCH_2.json with the clustering families recorded per GOMAXPROCS
 // setting, then BENCH_3.json adding the session-pipeline family: a full
-// session over latency-injecting links, serial vs pipelined third party,
-// then BENCH_4.json adding the session-stream family: a big-triangle
-// session over bandwidth-limited store-and-forward links sweeping the
-// local-matrix chunk size against the monolithic wire shape, then
+// session over latency-injecting links, then BENCH_4.json adding the
+// session-stream family: a big-triangle session over bandwidth-limited
+// store-and-forward links sweeping the local-matrix chunk size against
+// the monolithic wire shape, then
 // BENCH_5.json adding that family's both-partitions-large rows, where the
 // chunked pairwise S/M streaming is the lever, then BENCH_9.json adding
 // the session-reconnect family: baseline vs armed reconnect window vs a

@@ -291,53 +291,6 @@ func (a *Assembler) SetCrossRows(j, k, lo, hi int, at func(m, n int) float64) er
 	return nil
 }
 
-// LocalWatermark reports the installed-prefix watermark of party p's
-// local triangle: the largest hi such that every cell-bearing row in
-// [0, hi) has been installed. 0 means nothing has landed yet, sizes[p]
-// means the triangle is complete. A resume control plane compares this
-// against the sender's chunk schedule (protocol.ResumePoint) to name the
-// first chunk a reconnecting holder still owes; out-of-order gaps behind
-// the prefix are invisible here by construction — chunks arrive in
-// schedule order on one lane.
-func (a *Assembler) LocalWatermark(p int) int {
-	if p < 0 || p >= len(a.sizes) {
-		return 0
-	}
-	if a.localSet[p] {
-		return a.sizes[p]
-	}
-	seen := a.localRows[p]
-	if seen == nil {
-		return 0
-	}
-	w := 1 // row 0 carries no packed cells
-	for w < len(seen) && seen[w] {
-		w++
-	}
-	return w
-}
-
-// CrossWatermark is LocalWatermark for the (j, k) cross block, k > j:
-// the count of leading block rows installed, up to sizes[k] when the
-// pair is complete.
-func (a *Assembler) CrossWatermark(j, k int) int {
-	if j < 0 || k >= len(a.sizes) || k <= j {
-		return 0
-	}
-	if a.crossSet[k][j] {
-		return a.sizes[k]
-	}
-	seen := a.crossRows[[2]int{k, j}]
-	if seen == nil {
-		return 0
-	}
-	w := 0
-	for w < len(seen) && seen[w] {
-		w++
-	}
-	return w
-}
-
 // placeCrossRows writes rows [lo, hi) of pair (j, k)'s cross block into
 // the global triangle, validating entries and folding the range's maximum
 // into the running max. at is relative to lo.

@@ -241,8 +241,9 @@ func TestRectChunksInvariants(t *testing.T) {
 				if next != rows {
 					t.Fatalf("rows=%d cols=%d maxCells=%d: schedule ends at %d", rows, cols, maxCells, next)
 				}
-				if got := RectChunkCount(rows, cols, maxCells); got != len(chunks) {
-					t.Fatalf("rows=%d cols=%d maxCells=%d: RectChunkCount=%d, schedule has %d chunks", rows, cols, maxCells, got, len(chunks))
+				// The single TP's lane quota counts the schedule the holder walks.
+				if got := RectChunkCountRange(0, rows, cols, maxCells); got != len(chunks) {
+					t.Fatalf("rows=%d cols=%d maxCells=%d: RectChunkCountRange=%d, schedule has %d chunks", rows, cols, maxCells, got, len(chunks))
 				}
 			}
 		}
@@ -251,8 +252,8 @@ func TestRectChunksInvariants(t *testing.T) {
 	if got := RectChunks(-3, -1, 0); len(got) != 1 || got[0] != [2]int{0, 0} {
 		t.Fatalf("RectChunks(-3, -1, 0) = %v", got)
 	}
-	if got := RectChunkCount(-3, -1, 0); got != 1 {
-		t.Fatalf("RectChunkCount(-3, -1, 0) = %d", got)
+	if got := RectChunkCountRange(0, -3, -1, 0); got != 1 {
+		t.Fatalf("RectChunkCountRange(0, -3, -1, 0) = %d", got)
 	}
 }
 
@@ -429,64 +430,5 @@ func TestSetCrossRowsValidation(t *testing.T) {
 	}
 	if _, err := a.Done(); err == nil || !strings.Contains(err.Error(), "incomplete") {
 		t.Fatalf("partial cross rows not reported by Done: %v", err)
-	}
-}
-
-// TestAssemblerWatermarks pins the installed-prefix accessors the resume
-// control plane reads: watermarks advance exactly with the contiguous
-// installed prefix, ignore out-of-order islands, and saturate at the
-// party/pair size on completion.
-func TestAssemblerWatermarks(t *testing.T) {
-	a, err := NewAssembler([]int{6, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := a.LocalWatermark(0); got != 0 {
-		t.Fatalf("fresh local watermark = %d, want 0", got)
-	}
-	if got := a.CrossWatermark(0, 1); got != 0 {
-		t.Fatalf("fresh cross watermark = %d, want 0", got)
-	}
-	local := FromLocal(6, synthDist)
-	// Rows [0,3): prefix advances to 3.
-	if err := a.SetLocalRows(0, 0, 3, local.PackedRowsView(0, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.LocalWatermark(0); got != 3 {
-		t.Fatalf("after rows [0,3): watermark = %d, want 3", got)
-	}
-	// Out-of-order island [4,6) does not move the prefix.
-	if err := a.SetLocalRows(0, 4, 6, local.PackedRowsView(4, 6)); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.LocalWatermark(0); got != 3 {
-		t.Fatalf("island [4,6): watermark = %d, want 3", got)
-	}
-	// Filling the gap completes the triangle: watermark saturates at n.
-	if err := a.SetLocalRows(0, 3, 4, local.PackedRowsView(3, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.LocalWatermark(0); got != 6 {
-		t.Fatalf("complete: watermark = %d, want 6", got)
-	}
-	cross := func(m, n int) float64 { return synthDist(m+7, n) }
-	if err := a.SetCrossRows(0, 1, 0, 2, cross); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.CrossWatermark(0, 1); got != 2 {
-		t.Fatalf("cross rows [0,2): watermark = %d, want 2", got)
-	}
-	if err := a.SetCrossRows(0, 1, 2, 4, func(m, n int) float64 { return cross(m+2, n) }); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.CrossWatermark(0, 1); got != 4 {
-		t.Fatalf("cross complete: watermark = %d, want 4", got)
-	}
-	// Out-of-range queries answer 0, never panic.
-	if got := a.LocalWatermark(9); got != 0 {
-		t.Fatalf("out-of-range local watermark = %d", got)
-	}
-	if got := a.CrossWatermark(1, 1); got != 0 {
-		t.Fatalf("invalid pair watermark = %d", got)
 	}
 }

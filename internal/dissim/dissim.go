@@ -285,20 +285,8 @@ func RectChunks(rows, cols, maxCells int) [][2]int {
 	return chunks
 }
 
-// RectChunkCount returns len(RectChunks(rows, cols, maxCells)) without
-// materializing the schedule. The third party's demux lane quotas need
-// only the frame count per pair, and computing it arithmetically keeps
-// quota setup allocation-free even at one-row chunk schedules.
-func RectChunkCount(rows, cols, maxCells int) int {
-	if rows <= 0 {
-		return 1
-	}
-	per := rectRowsPerChunk(rows, cols, maxCells)
-	return (rows + per - 1) / per
-}
-
-// rectRowsPerChunk is the rows-per-chunk derivation RectChunks and
-// RectChunkCount must share: the quota a receiver computes from the count
+// rectRowsPerChunk is the rows-per-chunk derivation RectChunks,
+// RectChunksRange and RectChunkCountRange must share: the quota a receiver computes from the count
 // and the schedule a sender walks diverging would stall the session, so
 // there is exactly one copy of the arithmetic. Always at least 1.
 func rectRowsPerChunk(rows, cols, maxCells int) int {
@@ -315,9 +303,11 @@ func rectRowsPerChunk(rows, cols, maxCells int) int {
 	return per
 }
 
-// FromPacked reconstructs an n-object matrix from its packed lower
-// triangle, validating length and entry ranges. The validation pass
-// doubles as the max pass, so a later Normalize scans nothing.
+// FromPacked builds an n-object matrix over its packed lower triangle,
+// validating length and entry ranges. The matrix takes ownership of
+// cells — the caller must not use the slice afterwards — so adopting an
+// assembled triangle costs no second copy. The validation pass doubles
+// as the max pass, so a later Normalize scans nothing.
 func FromPacked(n int, cells []float64) (*Matrix, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("dissim: negative size %d", n)
@@ -334,8 +324,7 @@ func FromPacked(n int, cells []float64) (*Matrix, error) {
 			max = v
 		}
 	}
-	m := New(n)
-	copy(m.cell, cells)
+	m := &Matrix{n: n, cell: cells}
 	m.setMax(max)
 	return m, nil
 }

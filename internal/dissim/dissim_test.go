@@ -531,3 +531,28 @@ func TestAssemblerDoneIdempotent(t *testing.T) {
 		t.Fatalf("max after second Done = %v, want 1 (stale cache re-primed)", g2.Max())
 	}
 }
+
+// TestFromPackedAdoptsCells pins FromPacked's ownership contract: the
+// matrix is built over the caller's slice, not a copy of it, so adopting
+// an assembled triangle never allocates a second one. Validation and the
+// fused max still apply.
+func TestFromPackedAdoptsCells(t *testing.T) {
+	cells := []float64{1, 2, 4}
+	m, err := FromPacked(3, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Max() != 4 {
+		t.Fatalf("Max = %v, want 4", m.Max())
+	}
+	cells[0] = 3
+	if m.At(1, 0) != 3 {
+		t.Fatalf("At(1,0) = %v after writing the adopted slice, want 3", m.At(1, 0))
+	}
+	if _, err := FromPacked(3, []float64{1, -1, 2}); err == nil {
+		t.Fatal("negative packed entry accepted")
+	}
+	if _, err := FromPacked(3, []float64{1, 2}); err == nil {
+		t.Fatal("short packed triangle accepted")
+	}
+}

@@ -69,6 +69,13 @@ func RunInMemoryWrapped(cfg Config, parts []dataset.Partition, reqs map[string]C
 // RunInMemoryWrappedContext is the full-control driver: caller context plus
 // per-end conduit decoration.
 func RunInMemoryWrappedContext(ctx context.Context, cfg Config, parts []dataset.Partition, reqs map[string]ClusterRequest, random RandomSource, wrap ConduitWrap) (*SessionOutcome, error) {
+	return runInMemory(ctx, cfg, parts, reqs, random, wrap, (*ThirdParty).RunContext)
+}
+
+// runInMemory is the driver behind every RunInMemory form; runTP runs the
+// third party's side, so tests can substitute a reference third party.
+func runInMemory(ctx context.Context, cfg Config, parts []dataset.Partition, reqs map[string]ClusterRequest, random RandomSource, wrap ConduitWrap,
+	runTP func(tp *ThirdParty, ctx context.Context) (*TPReport, error)) (*SessionOutcome, error) {
 	holders := make([]string, len(parts))
 	for i, p := range parts {
 		holders[i] = p.Site
@@ -218,7 +225,7 @@ func RunInMemoryWrappedContext(ctx context.Context, cfg Config, parts []dataset.
 			return
 		}
 		tpCell.Store(tp)
-		report, tpErr = tp.RunContext(ctx)
+		report, tpErr = runTP(tp, ctx)
 		if tpErr != nil {
 			closeAll()
 		}

@@ -42,8 +42,8 @@ func TestPairChunkedMatchesSerialAcrossVariants(t *testing.T) {
 	}
 	for _, tc := range cases {
 		base := Config{Schema: pipelineSchema(), Variant: tc.variant, Mode: tc.mode,
-			Parallelism: 1, SerialTP: true, LocalChunkBytes: -1}
-		want, err := RunInMemory(base, parts, reqs, deterministicRandom(15))
+			Parallelism: 1, LocalChunkBytes: -1}
+		want, err := runSerialRef(base, parts, reqs, deterministicRandom(15), nil)
 		if err != nil {
 			t.Fatalf("%s baseline: %v", tc.name, err)
 		}
@@ -60,8 +60,8 @@ func TestPairChunkedMatchesSerialAcrossVariants(t *testing.T) {
 			// Serial third party over the same chunked wire: the pairwise
 			// reassembly reference must agree too.
 			cfg := Config{Schema: pipelineSchema(), Variant: tc.variant, Mode: tc.mode,
-				Parallelism: 1, SerialTP: true, LocalChunkBytes: chunk}
-			got, err := RunInMemory(cfg, parts, reqs, deterministicRandom(15))
+				Parallelism: 1, LocalChunkBytes: chunk}
+			got, err := runSerialRef(cfg, parts, reqs, deterministicRandom(15), nil)
 			if err != nil {
 				t.Fatalf("%s chunk=%d serial: %v", tc.name, chunk, err)
 			}
@@ -338,10 +338,14 @@ func TestPairChunkRejectsWrongColumns(t *testing.T) {
 		}
 		return c
 	}
+	cfg := Config{Schema: parts[0].Table.Schema(), Variant: Float64Variant,
+		PlaintextChannels: true, LocalChunkBytes: 320}
 	for _, serial := range []bool{false, true} {
-		cfg := Config{Schema: parts[0].Table.Schema(), Variant: Float64Variant,
-			PlaintextChannels: true, LocalChunkBytes: 320, SerialTP: serial}
-		_, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(19), wrap)
+		run := RunInMemoryWrapped
+		if serial {
+			run = runSerialRef
+		}
+		_, err := run(cfg, parts, nil, deterministicRandom(19), wrap)
 		if err == nil {
 			t.Fatalf("serial=%v: inflated-columns chunk reported no error", serial)
 		}

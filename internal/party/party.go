@@ -130,29 +130,22 @@ type Config struct {
 	// prefetch by the demux readers is unaffected). Results are
 	// bit-identical for every setting.
 	Parallelism int
-	// SerialTP makes the third party run its phase-serial reference
-	// engine — one attribute at a time, blocking reads, no overlap of
-	// protocol compute with wire I/O — instead of the pipelined session
-	// engine. Reports are bit-identical either way; benchmarks use this
-	// as the baseline and differential tests pin the equivalence. Only
-	// the third party consults it, and only when TPShards ≤ 1: the
-	// serial engine is the single-TP reference point the sharded path is
-	// differentially pinned against.
-	SerialTP bool
 	// TPShards splits the third party into that many row-range shards
-	// plus a merge coordinator (0 and 1 both select the single-TP path,
-	// byte-for-byte the pre-sharding code). Each shard owns a contiguous
-	// range of global triangle rows (dissim.ShardRanges over the census
-	// total): holders fan each comparison attribute's local and pairwise
-	// chunk frames to the owning shard's conduit, each shard evaluates
-	// and assembles exactly its slice, and the coordinator merges the
-	// slices and normalizes — bit-identical to the single-TP session for
-	// every K. It is part of the session agreement: holder and third
-	// party must agree (the server's admission routing preamble carries
-	// the count to holders), and every holder needs conduits named
-	// ShardName(0..K−1) next to the TPName control conduit. Tag-based
-	// attributes, census, clustering requests and results stay on the
-	// control conduit. At most MaxTPShards.
+	// plus a merge coordinator. 0 and 1 both select the single TP: the
+	// one-shard case of the same session driver, owning the whole triangle
+	// and reading every frame from the control conduits. Each
+	// shard owns a contiguous range of global triangle rows
+	// (dissim.ShardRanges over the census total): holders fan each
+	// comparison attribute's local and pairwise chunk frames to the
+	// owning shard's conduit, each shard evaluates and assembles exactly
+	// its slice, and the coordinator merges the slices and normalizes —
+	// bit-identical to the single-TP session for every K. It is part of
+	// the session agreement: holder and third party must agree (the
+	// server's admission routing preamble carries the count to holders),
+	// and every holder needs conduits named ShardName(0..K−1) next to the
+	// TPName control conduit. Tag-based attributes, census, clustering
+	// requests and results stay on the control conduit. At most
+	// MaxTPShards.
 	TPShards int
 	// LocalChunkBytes bounds the frames the session's partition-sized
 	// payloads stream in: each local dissimilarity triangle (holder→TP)
@@ -318,16 +311,6 @@ func (c Config) pairChunks(t dataset.AttrType, rows, cols int) [][2]int {
 	return dissim.RectChunks(rows, cols, b/c.pairCellBytes(t))
 }
 
-// pairChunkCount is len(pairChunks(t, rows, cols)) without materializing
-// the schedule, for the demux lane quotas.
-func (c Config) pairChunkCount(t dataset.AttrType, rows, cols int) int {
-	b := c.chunkBudgetBytes()
-	if b < 0 {
-		return 1
-	}
-	return dissim.RectChunkCount(rows, cols, b/c.pairCellBytes(t))
-}
-
 // shardCount resolves TPShards: anything below 2 is the single-TP path.
 func (c Config) shardCount() int {
 	if c.TPShards < 1 {
@@ -361,7 +344,7 @@ func (c Config) pairChunksRange(t dataset.AttrType, lo, hi, cols int) [][2]int {
 }
 
 // pairChunkCountRange is len(pairChunksRange(t, lo, hi, cols)) without
-// materializing the schedule, for the shard demux lane quotas.
+// materializing the schedule, for the demux lane quotas.
 func (c Config) pairChunkCountRange(t dataset.AttrType, lo, hi, cols int) int {
 	b := c.chunkBudgetBytes()
 	if b < 0 {
@@ -646,6 +629,88 @@ type numSBody struct {
 	Int    *protocol.Int64Matrix
 	Float  *protocol.Float64Matrix
 	ModP   *protocol.ElementMatrix
+}
+
+// appendNumChunk concatenates one numeric chunk's sub-matrix onto a
+// reassembled monolithic payload (the responder rebuilding the
+// initiator's disguised matrix), enforcing a consistent variant and the
+// census column count across the chunks of one pair. totalRows and
+// censusCols (both census-derived) presize the reassembled cell storage
+// on the first chunk, so the multi-append reassembly copies each cell
+// once instead of re-growing a multi-megabyte payload log-many times; the
+// column check runs before the presize, so a hostile chunk's
+// self-declared Cols can only produce the shape error — never a
+// rows-amplified allocation.
+func appendNumChunk(mono, chunk *numSBody, ch [2]int, totalRows, censusCols int) error {
+	wantRows := ch[1] - ch[0]
+	grow := func(validate func() error, chunkRows, chunkCols int, monoCols *int) error {
+		if err := validate(); err != nil {
+			return err
+		}
+		if chunkRows != wantRows {
+			return fmt.Errorf("carries %d rows, want %d", chunkRows, wantRows)
+		}
+		// A zero-row chunk (empty responder) carries no usable column
+		// count, matching the monolithic path's census-check exemption.
+		if chunkRows > 0 && chunkCols != censusCols {
+			return fmt.Errorf("has %d columns, census says %d", chunkCols, censusCols)
+		}
+		*monoCols = chunkCols
+		return nil
+	}
+	switch {
+	case chunk.Float != nil:
+		if mono.Int != nil || mono.ModP != nil {
+			return fmt.Errorf("mixes numeric variants across chunks")
+		}
+		first := mono.Float == nil
+		if first {
+			mono.Float = &protocol.Float64Matrix{}
+		}
+		if err := grow(chunk.Float.Validate, chunk.Float.Rows, chunk.Float.Cols, &mono.Float.Cols); err != nil {
+			return err
+		}
+		if first {
+			mono.Float.Cell = make([]float64, 0, totalRows*mono.Float.Cols)
+		}
+		mono.Float.Cell = append(mono.Float.Cell, chunk.Float.Cell...)
+		mono.Float.Rows += chunk.Float.Rows
+	case chunk.Int != nil:
+		if mono.Float != nil || mono.ModP != nil {
+			return fmt.Errorf("mixes numeric variants across chunks")
+		}
+		first := mono.Int == nil
+		if first {
+			mono.Int = &protocol.Int64Matrix{}
+		}
+		if err := grow(chunk.Int.Validate, chunk.Int.Rows, chunk.Int.Cols, &mono.Int.Cols); err != nil {
+			return err
+		}
+		if first {
+			mono.Int.Cell = make([]int64, 0, totalRows*mono.Int.Cols)
+		}
+		mono.Int.Cell = append(mono.Int.Cell, chunk.Int.Cell...)
+		mono.Int.Rows += chunk.Int.Rows
+	case chunk.ModP != nil:
+		if mono.Float != nil || mono.Int != nil {
+			return fmt.Errorf("mixes numeric variants across chunks")
+		}
+		first := mono.ModP == nil
+		if first {
+			mono.ModP = &protocol.ElementMatrix{}
+		}
+		if err := grow(chunk.ModP.Validate, chunk.ModP.Rows, chunk.ModP.Cols, &mono.ModP.Cols); err != nil {
+			return err
+		}
+		if first {
+			mono.ModP.Cell = make([][32]byte, 0, totalRows*mono.ModP.Cols)
+		}
+		mono.ModP.Cell = append(mono.ModP.Cell, chunk.ModP.Cell...)
+		mono.ModP.Rows += chunk.ModP.Rows
+	default:
+		return fmt.Errorf("carries no payload")
+	}
+	return nil
 }
 
 // alphaDisguisedBody is the initiator→responder alphanumeric message.

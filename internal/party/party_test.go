@@ -415,19 +415,23 @@ func TestExtensionSchemaFingerprint(t *testing.T) {
 }
 
 // TestAllEmptySession: a census of zero objects completes with an empty
-// published result (needed by the cost harness's overhead probe).
+// published result (needed by the cost harness's overhead probe), on the
+// single TP — whose holders still send their empty chunks — and sharded,
+// where the census yields no shard range at all.
 func TestAllEmptySession(t *testing.T) {
 	schema := dataset.Schema{Attrs: []dataset.Attribute{{Name: "x", Type: dataset.Numeric}}}
 	parts := []dataset.Partition{
 		{Site: "A", Table: dataset.MustNewTable(schema)},
 		{Site: "B", Table: dataset.MustNewTable(schema)},
 	}
-	out, err := RunInMemory(Config{Schema: schema, Variant: Float64Variant}, parts, nil, deterministicRandom(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Results["A"].Clusters) != 0 {
-		t.Fatalf("empty session produced clusters: %+v", out.Results["A"])
+	for _, k := range []int{1, 2} {
+		out, err := RunInMemory(Config{Schema: schema, Variant: Float64Variant, TPShards: k}, parts, nil, deterministicRandom(9))
+		if err != nil {
+			t.Fatalf("shards=%d: %v", k, err)
+		}
+		if len(out.Results["A"].Clusters) != 0 {
+			t.Fatalf("shards=%d: empty session produced clusters: %+v", k, out.Results["A"])
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"ppclust/internal/dataset"
 	"ppclust/internal/hcluster"
+	"ppclust/internal/parallel"
 	"ppclust/internal/rng"
 	"ppclust/internal/wire"
 )
@@ -87,19 +88,18 @@ func assertSameOutcome(t *testing.T, label string, want, got *SessionOutcome) {
 	}
 }
 
-// TestPipelinedMatchesSerialTP pins the pipelined session engine to the
-// phase-serial reference path: bit-identical matrices, scales and results
-// at Parallelism 1, 2 and all cores.
+// TestPipelinedMatchesSerialTP pins the session driver to the phase-serial
+// reference third party: bit-identical matrices, scales and results at
+// Parallelism 1, 2 and all cores.
 func TestPipelinedMatchesSerialTP(t *testing.T) {
 	parts := pipelineParts(t, 10)
 	reqs := pipelineReqs()
 	for _, workers := range []int{1, 2, 0} {
-		cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: workers, SerialTP: true}
-		serial, err := RunInMemory(cfg, parts, reqs, deterministicRandom(3))
+		cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: workers}
+		serial, err := runSerialRef(cfg, parts, reqs, deterministicRandom(3), nil)
 		if err != nil {
 			t.Fatalf("workers=%d serial: %v", workers, err)
 		}
-		cfg.SerialTP = false
 		piped, err := RunInMemory(cfg, parts, reqs, deterministicRandom(3))
 		if err != nil {
 			t.Fatalf("workers=%d pipelined: %v", workers, err)
@@ -142,6 +142,44 @@ func TestPipelinedOverLatencyConduit(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameOutcome(t, "latency conduit", plain, delayed)
+}
+
+// TestStageBudgetBoundsActiveStages pins the single TP's stage budget:
+// comparison and tag attributes share one stage pool, so the stage
+// goroutines live at any moment never exceed stageWidthFor(nAttr,
+// workers) — at Parallelism 1 assembly compute stays serial. Deliberately
+// not parallel: the ActiveStages gauge is process-wide.
+func TestStageBudgetBoundsActiveStages(t *testing.T) {
+	parts := pipelineParts(t, 10)
+	nAttr := len(pipelineSchema().Attrs)
+	for _, workers := range []int{1, 2} {
+		var peak int64
+		done := make(chan struct{})
+		sampled := make(chan struct{})
+		go func() {
+			defer close(sampled)
+			for {
+				peak = max(peak, ActiveStages())
+				select {
+				case <-done:
+					return
+				case <-time.After(20 * time.Microsecond):
+				}
+			}
+		}()
+		cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: workers}
+		_, err := RunInMemoryWrapped(cfg, parts, pipelineReqs(), deterministicRandom(3),
+			latencyWrap(time.Millisecond, time.Millisecond/2))
+		close(done)
+		<-sampled
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		budget := int64(stageWidthFor(nAttr, parallel.Workers(workers)))
+		if peak == 0 || peak > budget {
+			t.Fatalf("workers=%d: peak %d live stages, want 1..%d", workers, peak, budget)
+		}
+	}
 }
 
 // tcpLink returns the two ends of a fresh loopback TCP connection.
@@ -317,10 +355,10 @@ func TestCentralizedMatrixRejectsUnknownType(t *testing.T) {
 	}
 }
 
-// benchSession builds the session the pipeline benchmark runs: several
-// attributes over three holders with TP-side link latency, so serial
+// benchPipelineSession runs the session the pipeline benchmark measures:
+// several attributes over three holders with TP-side link latency, so
 // receive time is visible against assembly compute.
-func benchPipelineSession(b *testing.B, serial bool) {
+func benchPipelineSession(b *testing.B) {
 	schema := pipelineSchema()
 	s := rng.NewXoshiro(rng.SeedFromUint64(99))
 	cities := []string{"a", "b", "c", "d"}
@@ -337,12 +375,12 @@ func benchPipelineSession(b *testing.B, serial bool) {
 		}
 		parts = append(parts, dataset.Partition{Site: site, Table: tab})
 	}
-	cfg := Config{Schema: schema, Variant: Float64Variant, SerialTP: serial}
+	cfg := Config{Schema: schema, Variant: Float64Variant}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// A fresh latencyWrap per session restarts the seed counter, so
-		// every iteration of both variants sees the same jitter schedule.
+		// every iteration sees the same jitter schedule.
 		if _, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(9),
 			latencyWrap(time.Millisecond, time.Millisecond/2)); err != nil {
 			b.Fatal(err)
@@ -352,8 +390,7 @@ func benchPipelineSession(b *testing.B, serial bool) {
 
 // BenchmarkSessionPipeline is the session-pipeline family's in-tree smoke
 // variant (CI runs it at -benchtime=1x): a full session over
-// latency-injecting TP links, serial third party vs pipelined.
+// latency-injecting TP links.
 func BenchmarkSessionPipeline(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchPipelineSession(b, true) })
-	b.Run("pipelined", func(b *testing.B) { benchPipelineSession(b, false) })
+	b.Run("pipelined", benchPipelineSession)
 }

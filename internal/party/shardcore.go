@@ -1,11 +1,12 @@
 package party
 
 // shardCore is one TP shard's stage pipeline, detached from the ThirdParty
-// session object so the same code drives both deployments of the sharded
-// third party:
+// session object so the same code produces every slice:
 //
-//   - in-process (PR 8): the coordinator builds a core from its own session
-//     state and runs K of them as goroutines under its guard;
+//   - in-process: the third party builds a core from its own session
+//     state and runs one per range under its guard — K shard goroutines
+//     over the shard conduits, or at K=1 the single TP's whole triangle
+//     over the control conduits;
 //   - cross-process: a ppc-shard worker builds a core from the
 //     coordinator's slice offer (census, range, per-pair mask seeds) and
 //     runs exactly one, fed by relayed holder frames.
@@ -20,6 +21,7 @@ package party
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"ppclust/internal/dataset"
@@ -39,15 +41,55 @@ type shardCore struct {
 	// coordinator derives it from the key agreement (ThirdParty.seedJT), a
 	// worker looks it up in the slice offer.
 	seed func(attr int, j, k string) rng.Seed
+	// whole marks the single TP's core, which reads the control streams:
+	// there holders send every schedule unrestricted, so a holder or
+	// responder with no rows still sends its one empty chunk, which the
+	// core must consume. Shard streams skip empty intersections instead.
+	whole bool
 }
 
 // core builds the third party's own shard pipeline view — the in-process
-// deployment, and the source of the single-TP receive loops (recvLocal,
-// recvPair delegate here so shard assembly is the same code over a
-// restricted schedule).
+// deployment.
 func (tp *ThirdParty) core() *shardCore {
 	return &shardCore{cfg: tp.cfg, holders: tp.holders, counts: tp.counts,
-		workers: tp.workers, engines: tp.engines, seed: tp.seedJT}
+		workers: tp.workers, engines: tp.engines, seed: tp.seedJT,
+		whole: tp.cfg.shardCount() == 1}
+}
+
+// censusLayout returns each holder's global row offset and the census
+// total, refusing a negative count or a total that overflows int before
+// anything is sized from them.
+func censusLayout(counts []int) (offsets []int, total int, err error) {
+	offsets = make([]int, len(counts))
+	for i, c := range counts {
+		if c < 0 || c > math.MaxInt-total {
+			return nil, 0, fmt.Errorf("party: census count %d of holder %d is negative or overflows the total", c, i)
+		}
+		offsets[i] = total
+		total += c
+	}
+	return offsets, total, nil
+}
+
+// maxSliceCells caps one shard's slice: a worker returns each attribute
+// slice in a single ppc/shard-slice frame of 8-byte cells, so a slice
+// past wire.MaxFrame can never be delivered.
+const maxSliceCells = wire.MaxFrame / 8
+
+// checkSliceRange refuses a shard range outside the census total or one
+// whose slice exceeds maxSliceCells. The worker applies it to an offer
+// and the coordinator to its partition before dialing, in both cases
+// before anything is sized from the range.
+func checkSliceRange(lo, hi, total int) error {
+	if lo < 0 || hi < lo || hi > total {
+		return fmt.Errorf("party: shard range [%d,%d) outside the census total %d", lo, hi, total)
+	}
+	// Rows lo..hi−1 hold lo+…+(hi−1) cells; float64 keeps the sum and
+	// product from overflowing and is exact near the cap.
+	if cells := float64(hi-lo) * (float64(lo) + float64(hi) - 1) / 2; cells > maxSliceCells {
+		return fmt.Errorf("party: shard range [%d,%d) holds %.0f cells, over the %d a slice frame can carry", lo, hi, cells, maxSliceCells)
+	}
+	return nil
 }
 
 // stageWidthFor resolves a stage-pool size: at most pipelineDepth, never
@@ -56,115 +98,123 @@ func (tp *ThirdParty) core() *shardCore {
 // serially (readers still prefetch the wire), and higher budgets never
 // multiply total compute goroutines by the full depth on small machines.
 func stageWidthFor(nAttr, workers int) int {
-	width := pipelineDepth
-	if width > nAttr {
-		width = nAttr
-	}
-	if width > workers {
-		width = workers
-	}
-	if width < 1 {
-		width = 1
-	}
-	return width
+	return max(1, min(pipelineDepth, nAttr, workers))
 }
 
-// shardLaneQuotas is the per-attribute frame quota of holder hi's stream
-// toward the shard owning global rows [r[0], r[1]): the local-matrix chunks
-// of the holder-local row intersection plus the S/M chunks of every pair
-// the holder responds in, restricted the same way. Every party — the
-// holder, the in-process shard demux, the coordinator's relay pumps and a
-// worker process's own demux — derives the identical vector from (Config,
-// census, range) alone, so the exact stream length is known before the
-// first frame moves. A holder with no rows in the shard has an all-zero
-// vector and sends nothing there.
-func shardLaneQuotas(cfg Config, counts, offsets []int, hi int, r [2]int) []int {
-	attrs := cfg.Schema.Attrs
-	quotas := make([]int, len(attrs))
-	llo, lhi := shardRowsOf(r[0], r[1], offsets[hi], counts[hi])
-	if llo >= lhi {
-		return quotas
-	}
-	for attr, a := range attrs {
-		if tagBased(a.Type) {
-			continue
-		}
-		quotas[attr] = len(cfg.localChunksRange(llo, lhi))
-		for j := 0; j < hi; j++ {
-			quotas[attr] += cfg.pairChunkCountRange(a.Type, llo, lhi, counts[j])
-		}
-	}
-	return quotas
-}
-
-// runShard is one shard's session body: a stage pool (bounded exactly like
-// the single-TP pipeline's) pulls the comparison attributes through
-// receive → evaluate → slice-assemble, writing each finished slice into
-// out[attr]. Errors flow through fail, which the caller wires to stop every
-// demux of the session so sibling shards and the coordinator unwind too.
-func (c *shardCore) runShard(s int, r [2]int, demux []*wire.Demux, out []attrSlice, fail func(error)) {
-	attrs := c.cfg.Schema.Attrs
-	var comp []int
-	for attr, a := range attrs {
-		if !tagBased(a.Type) {
-			comp = append(comp, attr)
-		}
-	}
-	if len(comp) == 0 {
+// runStages pulls attrs through stage on a pool of stageWidthFor(len(attrs),
+// workers) goroutines, each borrowing a private protocol engine, and
+// returns when the pool drains. A stage error goes to fail and ends that
+// goroutine; fail is expected to unblock the rest.
+func runStages(attrs []int, workers int, engines *protocol.EnginePool, stage func(eng *protocol.Engine, attr int) error, fail func(error)) {
+	if len(attrs) == 0 {
 		return
 	}
-	attrCh := make(chan int, len(comp))
-	for _, attr := range comp {
+	attrCh := make(chan int, len(attrs))
+	for _, attr := range attrs {
 		attrCh <- attr
 	}
 	close(attrCh)
 	var wg sync.WaitGroup
-	for w, width := 0, stageWidthFor(len(comp), c.workers); w < width; w++ {
+	for w, width := 0, stageWidthFor(len(attrs), workers); w < width; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			activeStages.Add(1)
 			defer activeStages.Add(-1)
-			eng := c.engines.Get()
-			defer c.engines.Put(eng)
+			eng := engines.Get()
+			defer engines.Put(eng)
 			for attr := range attrCh {
-				cells, max, err := c.assembleShardSlice(eng, r, demux, attr)
-				if err != nil {
-					fail(fmt.Errorf("party: shard %d assembling attribute %q: %w", s, attrs[attr].Name, err))
+				if err := stage(eng, attr); err != nil {
+					fail(err)
 					return
 				}
-				out[attr] = attrSlice{cells: cells, max: max}
 			}
 		}()
 	}
 	wg.Wait()
 }
 
+// laneQuotas is the per-attribute frame quota of holder hi's stream
+// toward the core owning global rows [r[0], r[1]): the local-matrix chunks
+// of the holder-local row intersection plus the S/M chunks of every pair
+// the holder responds in, restricted the same way. Every party — the
+// holder, the control and shard demuxes, the coordinator's relay pumps and
+// a worker process's own demux — derives the identical vector from
+// (Config, census, range) alone, so the exact stream length is known
+// before the first frame moves. On a shard stream a holder with no rows
+// in the shard has an all-zero vector and sends nothing there.
+func (c *shardCore) laneQuotas(offsets []int, hi int, r [2]int) []int {
+	attrs := c.cfg.Schema.Attrs
+	quotas := make([]int, len(attrs))
+	llo, lhi := shardRowsOf(r[0], r[1], offsets[hi], c.counts[hi])
+	if llo >= lhi && !c.whole {
+		return quotas
+	}
+	for attr, a := range attrs {
+		if tagBased(a.Type) {
+			continue
+		}
+		quotas[attr] = len(c.cfg.localChunksRange(llo, lhi))
+		for j := 0; j < hi; j++ {
+			quotas[attr] += c.cfg.pairChunkCountRange(a.Type, llo, lhi, c.counts[j])
+		}
+	}
+	return quotas
+}
+
+// runShard is one core's session body: a stage pool pulls the comparison
+// attributes through receive → evaluate → slice-assemble, writing each
+// finished slice into out[attr]. A non-nil tag stage adds the tag-based
+// attributes to the same pool — the single TP's case, which keeps the
+// whole session within one stage budget. Errors flow through fail, which
+// the caller wires to stop every demux of the session so sibling shards
+// and the coordinator unwind too.
+func (c *shardCore) runShard(s int, r [2]int, demux []*wire.Demux, out [][]float64, tag func(attr int) error, fail func(error)) {
+	attrs := c.cfg.Schema.Attrs
+	var owned []int
+	for attr, a := range attrs {
+		if !tagBased(a.Type) || tag != nil {
+			owned = append(owned, attr)
+		}
+	}
+	runStages(owned, c.workers, c.engines, func(eng *protocol.Engine, attr int) error {
+		if tagBased(attrs[attr].Type) {
+			return tag(attr)
+		}
+		cells, err := c.assembleShardSlice(eng, r, demux, attr)
+		if err != nil {
+			return fmt.Errorf("party: shard %d assembling attribute %q: %w", s, attrs[attr].Name, err)
+		}
+		out[attr] = cells
+		return nil
+	}, fail)
+}
+
 // assembleShardSlice builds one comparison attribute's slice of global
 // rows [r[0], r[1]): each intersecting holder's local chunk frames, then
-// each pair's S/M chunk frames over the responder-row intersection — the
-// exact receive loops of the single-TP pipeline (recvLocalRows,
-// recvPairRows) over the shard-restricted schedules.
-func (c *shardCore) assembleShardSlice(eng *protocol.Engine, r [2]int, demux []*wire.Demux, attr int) ([]float64, float64, error) {
+// each pair's S/M chunk frames over the responder-row intersection
+// (recvLocalRows, recvPairRows over the range-restricted schedules). The
+// slice's maximum is left to the merge, which recomputes it.
+func (c *shardCore) assembleShardSlice(eng *protocol.Engine, r [2]int, demux []*wire.Demux, attr int) ([]float64, error) {
 	a := c.cfg.Schema.Attrs[attr]
 	sa, err := dissim.NewSliceAssembler(c.counts, r[0], r[1], c.workers)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	src := demuxSource{ds: demux, lane: attr}
 	for hi, h := range c.holders {
 		llo, lhi := sa.LocalRows(hi)
-		if llo >= lhi {
+		if llo >= lhi && !c.whole {
 			continue
 		}
 		if err := c.recvLocalRows(sa, src, hi, h, attr, c.cfg.localChunksRange(llo, lhi)); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 	}
 	for _, pair := range sortedPairs(c.holders) {
 		ji, ki := pair[0], pair[1]
 		rlo, rhi := sa.CrossRows(ki)
-		if rlo >= rhi {
+		if rlo >= rhi && !c.whole {
 			continue
 		}
 		j, k := c.holders[ji], c.holders[ki]
@@ -188,18 +238,20 @@ func (c *shardCore) assembleShardSlice(eng *protocol.Engine, r [2]int, demux []*
 		}
 		chunks := c.cfg.pairChunksRange(a.Type, rlo, rhi, cols)
 		if err := c.recvPairRows(eng, sa, src, attr, ji, ki, jt, chunks); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 	}
-	return sa.Done()
+	cells, _, err := sa.Done()
+	return cells, err
 }
 
 // recvLocalRows consumes one holder's local-matrix chunk stream for one
-// attribute, restricted to the given schedule, installing each row-range
-// frame the moment it arrives. The single-TP pipeline passes the full
-// localChunks schedule; a shard passes localChunksRange over its
-// holder-local intersection.
-func (c *shardCore) recvLocalRows(inst localInstaller, src attrSource, hi int, h string, attr int, chunks [][2]int) error {
+// attribute, restricted to the given schedule (localChunksRange over the
+// holder-local intersection), installing each row-range frame the moment
+// it arrives. Chunks must follow the shared schedule exactly: holder and
+// third party derive it from the same Config, so any deviation is a
+// protocol error.
+func (c *shardCore) recvLocalRows(sa *dissim.SliceAssembler, src attrSource, hi int, h string, attr int, chunks [][2]int) error {
 	n := c.counts[hi]
 	for ci, ch := range chunks {
 		var body localBody
@@ -217,7 +269,10 @@ func (c *shardCore) recvLocalRows(inst localInstaller, src attrSource, hi int, h
 			return fmt.Errorf("party: %s local chunk %d covers rows [%d,%d), schedule says [%d,%d)",
 				h, ci, body.Lo, body.Hi, ch[0], ch[1])
 		}
-		if err := inst.SetLocalRows(hi, body.Lo, body.Hi, body.Cells); err != nil {
+		if ch[0] == ch[1] {
+			continue // an empty holder's one chunk carries no rows
+		}
+		if err := sa.SetLocalRows(hi, body.Lo, body.Hi, body.Cells); err != nil {
 			return err
 		}
 	}
@@ -225,14 +280,14 @@ func (c *shardCore) recvLocalRows(inst localInstaller, src attrSource, hi int, h
 }
 
 // recvPairRows consumes the S/M chunk frames of one (attribute, pair)
-// covering the scheduled responder row ranges, evaluating and installing
-// each chunk the moment it arrives. The single-TP pipeline passes the
-// full pairChunks schedule and a fresh jt; a shard passes pairChunksRange
-// over its responder-row intersection with jt pre-positioned by the
-// engine's AdvanceThirdParty* (per-pair mode consumes the keystream
-// row-major with no re-initialization, so a shard starting mid-block must
-// first draw and discard the earlier rows' masks).
-func (c *shardCore) recvPairRows(eng *protocol.Engine, inst crossInstaller, src attrSource, attr, ji, ki int, jt rng.Stream, chunks [][2]int) error {
+// covering the scheduled responder row ranges (pairChunksRange over the
+// responder-row intersection), evaluating and installing each chunk the
+// moment it arrives — the protocol engine's *Rows methods share one jt
+// stream per pair so batched keystreams stay aligned. jt arrives
+// pre-positioned by the engine's AdvanceThirdParty* (per-pair mode
+// consumes the keystream row-major with no re-initialization, so a range
+// starting mid-block must first draw and discard the earlier rows' masks).
+func (c *shardCore) recvPairRows(eng *protocol.Engine, sa *dissim.SliceAssembler, src attrSource, attr, ji, ki int, jt rng.Stream, chunks [][2]int) error {
 	a := c.cfg.Schema.Attrs[attr]
 	j, k := c.holders[ji], c.holders[ki]
 	rows, cols := c.counts[ki], c.counts[ji]
@@ -300,7 +355,10 @@ func (c *shardCore) recvPairRows(eng *protocol.Engine, inst crossInstaller, src 
 			return fmt.Errorf("party: block (%s,%s) rows [%d,%d) have %d columns, census says %d",
 				j, k, ch[0], ch[1], bCols, cols)
 		}
-		if err := inst.SetCrossRows(ji, ki, ch[0], ch[1], block); err != nil {
+		if ch[0] == ch[1] {
+			continue // an empty responder's one chunk carries no rows
+		}
+		if err := sa.SetCrossRows(ji, ki, ch[0], ch[1], block); err != nil {
 			return err
 		}
 	}

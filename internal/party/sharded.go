@@ -9,48 +9,39 @@ package party
 //     each chunk row-exactly (the protocol engine's *Rows methods, with
 //     AdvanceThirdParty* positioning the per-pair keystream for mid-block
 //     starts) and assembles exactly its slice with a SliceAssembler;
-//   - the coordinator runs everything else unchanged: handshake, census,
-//     the tag-based attributes, clustering requests and result publication
+//   - the coordinator runs everything else: handshake, census, the
+//     tag-based attributes, clustering requests and result publication
 //     all stay on the per-holder control conduit. When the shards finish,
 //     it concatenates their slices into each attribute's condensed matrix
 //     (SetPackedRows) and normalizes.
 //
-// The shard pipeline itself lives in shardCore (shardcore.go) and has two
-// deployments: in-process goroutines under the coordinator's session guard
-// (this file), or separate ppc-shard worker processes driven over the
-// coordinator↔shard control protocol (shardproc.go, shardserver.go). The
-// split partitions rows, wire lanes and resident memory (each shard holds
-// ~1/K of every attribute triangle), not trust. Bit-identity with the
-// single-TP path holds for every K: chunk evaluation is sequence-identical
-// (pinned by the protocol row tests), slice assembly writes each cell
-// exactly once with the same value (pinned by the dissim slice tests), and
-// max is associative, so the merged matrix, its normalization scale and
-// every downstream clustering result match the single-TP session byte for
-// byte. TPShards ≤ 1 never reaches this file.
+// ThirdParty.run drives both halves for every K; the single TP is the
+// K=1 case, one shard over the control conduits. Slices come from
+// shardCore in-process (this file) or from ppc-shard worker processes
+// (shardproc.go, shardserver.go). The split partitions rows, wire lanes
+// and resident memory, not trust. Bit-identity across K holds because
+// chunk evaluation is sequence-identical (pinned by the protocol row
+// tests), slice assembly writes each cell exactly once with the same
+// value (pinned by the dissim slice tests), and max is associative.
 
 import (
 	"fmt"
 	"sync"
 
-	"ppclust/internal/dataset"
 	"ppclust/internal/dissim"
 	"ppclust/internal/wire"
 )
 
-// attrSlice is one shard's assembled slice of one comparison attribute:
-// the packed cells of the shard's global row range plus their maximum
-// (folded into the merged matrix's max cache by SetPackedRows).
-type attrSlice struct {
-	cells []float64
-	max   float64
-}
-
-// shardClassifier routes a sharded session's demux traffic: aborts fail the
-// lane, clustering requests land past the attribute lanes, everything else
-// routes by attribute. Both coordinator deployments and the worker process
-// use the same routing (the worker's demuxes simply have no request lane).
+// shardClassifier routes a session's demux traffic: aborts fail the lane,
+// clustering requests land past the attribute lanes, everything else
+// routes by attribute. The control demuxes, in-process shard demuxes and
+// the worker process all use the same routing (shard demuxes have no
+// request lane: reqLane −1).
 func shardClassifier(nAttr, reqLane int) func(m *wire.Message) (int, error) {
 	return func(m *wire.Message) (int, error) {
+		// A peer's abort terminates the whole stream: the classify error
+		// becomes the demux's terminal error, every lane closes, and the
+		// stages observe the classified reason instead of a routing error.
 		if m.Kind == kindAbort {
 			return 0, peerAbortError(m)
 		}
@@ -64,176 +55,111 @@ func shardClassifier(nAttr, reqLane int) func(m *wire.Message) (int, error) {
 	}
 }
 
-// controlDemuxes builds the coordinator's per-holder control demuxes for a
-// sharded session: the tag columns and the clustering request only —
-// comparison-attribute traffic flows on the shard conduits.
-func (tp *ThirdParty) controlDemuxes(reqLane int, classify func(m *wire.Message) (int, error)) []*wire.Demux {
-	attrs := tp.cfg.Schema.Attrs
-	ctl := make([]*wire.Demux, len(tp.holders))
-	for hi, h := range tp.holders {
-		counts := make([]int, len(attrs)+1)
-		for attr, a := range attrs {
-			if tagBased(a.Type) {
-				counts[attr] = 1
-			}
-		}
-		counts[reqLane] = 1
-		ctl[hi] = wire.NewDemux(tp.eps[h], counts, laneBuffer, classify)
-	}
-	return ctl
+// assembly tracks one session's concurrent assembly goroutines. The first
+// failure wins and runs every stop hook — stopping demuxes, closing worker
+// links — so siblings parked in a mailbox or on a worker link unwind, even
+// those waiting on a holder whose reader is parked in a conduit Recv that
+// Stop cannot reach.
+type assembly struct {
+	wg    sync.WaitGroup
+	mu    sync.Mutex
+	err   error
+	stops []func()
 }
 
-// runTagStages assembles the tag-based attributes from the control lanes on
-// a stage pool (the same shape as the pipelined single-TP engine's) while
-// the shards stream, adding its workers to wg.
-func (tp *ThirdParty) runTagStages(ctl []*wire.Demux, matrices []*dissim.Matrix, scales []float64, wg *sync.WaitGroup, fail func(error)) {
-	attrs := tp.cfg.Schema.Attrs
-	var tagAttrs []int
-	for attr, a := range attrs {
-		if tagBased(a.Type) {
-			tagAttrs = append(tagAttrs, attr)
-		}
-	}
-	if len(tagAttrs) == 0 {
+// onFail registers a hook the first failure runs — at once, if the
+// failure already happened.
+func (a *assembly) onFail(stop func()) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.err != nil {
+		stop()
 		return
 	}
-	tagCh := make(chan int, len(tagAttrs))
-	for _, attr := range tagAttrs {
-		tagCh <- attr
+	a.stops = append(a.stops, stop)
+}
+
+func (a *assembly) fail(err error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.err != nil {
+		return
 	}
-	close(tagCh)
-	for w, width := 0, tp.stageWidth(len(tagAttrs)); w < width; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			activeStages.Add(1)
-			defer activeStages.Add(-1)
-			for attr := range tagCh {
-				var m *dissim.Matrix
-				var err error
-				if attrs[attr].Type == dataset.Categorical {
-					m, err = tp.assembleCategorical(attr, demuxSource{ds: ctl, lane: attr})
-				} else {
-					m, err = tp.assembleHierarchical(attr, demuxSource{ds: ctl, lane: attr})
-				}
-				if err != nil {
-					fail(fmt.Errorf("party: assembling attribute %q: %w", attrs[attr].Name, err))
-					return
-				}
-				scales[attr] = m.NormalizePar(tp.workers)
-				matrices[attr] = m
-			}
-		}()
+	a.err = err
+	for _, stop := range a.stops {
+		stop()
 	}
 }
 
-// mergeShardSlices concatenates each comparison attribute's shard slices
-// into the condensed matrix and normalizes. The slices partition the
-// triangle, SetPackedRows folds each slice's maximum into the matrix's max
-// cache, and max is associative — so the scale, and with element-wise
-// division every cell, is bit-identical to the single-TP assembly.
-func (tp *ThirdParty) mergeShardSlices(total int, ranges [][2]int, slices [][]attrSlice, matrices []*dissim.Matrix, scales []float64) error {
+// spawn runs fn on a goroutine that wait joins.
+func (a *assembly) spawn(fn func()) {
+	a.wg.Add(1)
+	go func() {
+		defer a.wg.Done()
+		fn()
+	}()
+}
+
+// wait joins every spawned goroutine and returns the first failure.
+func (a *assembly) wait() error {
+	a.wg.Wait()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.err
+}
+
+func stopDemuxes(ds []*wire.Demux) {
+	for _, d := range ds {
+		d.Stop()
+	}
+}
+
+// startLocalShards runs one in-process shard pipeline per range, each
+// over demuxes of its own holder→shard conduits with lane quotas
+// restricted to each holder's row intersection with the shard. A holder
+// with no rows in a shard sends nothing there: every quota is zero, the
+// lanes close immediately and the reader never touches the conduit. On a
+// clean run every reader exits once its quota is delivered.
+func (tp *ThirdParty) startLocalShards(asm *assembly, core *shardCore, ranges [][2]int, offsets []int, slices [][][]float64) {
+	classify := shardClassifier(len(tp.cfg.Schema.Attrs), -1)
+	for s, r := range ranges {
+		demux := make([]*wire.Demux, len(tp.holders))
+		for hi, h := range tp.holders {
+			demux[hi] = wire.NewDemux(wire.NewEndpoint(tp.shardConduits[s][h]),
+				core.laneQuotas(offsets, hi, r), laneBuffer, classify)
+		}
+		asm.onFail(func() { stopDemuxes(demux) })
+		asm.spawn(func() { core.runShard(s, r, demux, slices[s], nil, asm.fail) })
+	}
+}
+
+// mergeShardSlices builds each comparison attribute's condensed matrix
+// from its shard slices and normalizes. A single range covers the whole
+// triangle, so the matrix adopts that slice's storage; several ranges are
+// concatenated with SetPackedRows. Either way the maximum is recomputed
+// over the installed cells, and max is associative — so the scale, and
+// with element-wise division every cell, is bit-identical for every K.
+func (tp *ThirdParty) mergeShardSlices(total int, ranges [][2]int, slices [][][]float64, matrices []*dissim.Matrix, scales []float64) error {
 	for attr, a := range tp.cfg.Schema.Attrs {
 		if tagBased(a.Type) {
 			continue
 		}
-		m := dissim.New(total)
-		for s, r := range ranges {
-			if err := m.SetPackedRows(r[0], r[1], slices[s][attr].cells); err != nil {
-				return fmt.Errorf("party: merging attribute %q slice of shard %d: %w", a.Name, s, err)
+		var m *dissim.Matrix
+		if len(ranges) == 1 {
+			var err error
+			if m, err = dissim.FromPacked(total, slices[0][attr]); err != nil {
+				return fmt.Errorf("party: merging attribute %q: %w", a.Name, err)
+			}
+		} else {
+			m = dissim.New(total)
+			for s, r := range ranges {
+				if err := m.SetPackedRows(r[0], r[1], slices[s][attr]); err != nil {
+					return fmt.Errorf("party: merging attribute %q slice of shard %d: %w", a.Name, s, err)
+				}
 			}
 		}
 		scales[attr] = m.NormalizePar(tp.workers)
 		matrices[attr] = m
 	}
 	return nil
-}
-
-// runSharded is the coordinator's session body for TPShards > 1 with
-// in-process shards — the sharded counterpart of runPipelined.
-func (tp *ThirdParty) runSharded() (*TPReport, error) {
-	attrs := tp.cfg.Schema.Attrs
-	nAttr := len(attrs)
-	reqLane := nAttr
-
-	total := 0
-	offsets := make([]int, len(tp.counts))
-	for i, c := range tp.counts {
-		offsets[i] = total
-		total += c
-	}
-	// ShardRanges never emits an empty range, so fewer than K shards are
-	// active when the session has fewer rows than shards; the surplus
-	// conduits stay idle (both sides derive the same partition from the
-	// census, so holders send nothing on them either).
-	ranges := dissim.ShardRanges(total, len(tp.shardEps))
-
-	classify := shardClassifier(nAttr, reqLane)
-	ctl := tp.controlDemuxes(reqLane, classify)
-	// Shard demuxes, with lane quotas restricted to each holder's row
-	// intersection with the shard. A holder with no rows in a shard sends
-	// nothing there: every quota is zero, the lanes close immediately and
-	// the reader never touches the conduit.
-	shardDemux := make([][]*wire.Demux, len(ranges))
-	for s, r := range ranges {
-		shardDemux[s] = make([]*wire.Demux, len(tp.holders))
-		for hi, h := range tp.holders {
-			shardDemux[s][hi] = wire.NewDemux(tp.shardEps[s][h],
-				shardLaneQuotas(tp.cfg, tp.counts, offsets, hi, r), laneBuffer, classify)
-		}
-	}
-	stopAll := func() {
-		for _, d := range ctl {
-			d.Stop()
-		}
-		for _, ds := range shardDemux {
-			for _, d := range ds {
-				d.Stop()
-			}
-		}
-	}
-	defer stopAll()
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			stopAll()
-		}
-		mu.Unlock()
-	}
-
-	matrices := make([]*dissim.Matrix, nAttr)
-	scales := make([]float64, nAttr)
-	slices := make([][]attrSlice, len(ranges))
-
-	core := tp.core()
-	var wg sync.WaitGroup
-	for s, r := range ranges {
-		slices[s] = make([]attrSlice, nAttr)
-		wg.Add(1)
-		go func(s int, r [2]int) {
-			defer wg.Done()
-			core.runShard(s, r, shardDemux[s], slices[s], fail)
-		}(s, r)
-	}
-	tp.runTagStages(ctl, matrices, scales, &wg, fail)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	if err := tp.mergeShardSlices(total, ranges, slices, matrices, scales); err != nil {
-		return nil, err
-	}
-
-	return tp.finish(matrices, scales, func(hi int) (requestBody, error) {
-		var req requestBody
-		_, err := ctl[hi].Expect(reqLane, kindRequest, &req)
-		return req, err
-	})
 }

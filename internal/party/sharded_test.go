@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"ppclust/internal/dataset"
 	"ppclust/internal/leakcheck"
 	"ppclust/internal/protocol"
 	"ppclust/internal/wire"
@@ -22,8 +23,8 @@ import (
 func TestShardedMatchesSingleTP(t *testing.T) {
 	parts := pipelineParts(t, 10)
 	reqs := pipelineReqs()
-	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1, SerialTP: true}
-	want, err := RunInMemory(base, parts, reqs, deterministicRandom(23))
+	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1}
+	want, err := runSerialRef(base, parts, reqs, deterministicRandom(23), nil)
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -58,8 +59,8 @@ func TestShardedPerPairDisguisedChunkSweep(t *testing.T) {
 		{"modp", ModPVariant, []int{1}},
 	} {
 		base := Config{Schema: pipelineSchema(), Variant: tc.variant, Mode: protocol.PerPair,
-			Parallelism: 1, SerialTP: true, LocalChunkBytes: -1}
-		want, err := RunInMemory(base, parts, reqs, deterministicRandom(24))
+			Parallelism: 1, LocalChunkBytes: -1}
+		want, err := runSerialRef(base, parts, reqs, deterministicRandom(24), nil)
 		if err != nil {
 			t.Fatalf("%s baseline: %v", tc.name, err)
 		}
@@ -81,21 +82,34 @@ func TestShardedPerPairDisguisedChunkSweep(t *testing.T) {
 // session level: with more shards than triangle rows the coordinator
 // plans fewer active ranges than conduits, the surplus lanes carry only
 // their hellos, and the report stays bit-identical. One-row holders make
-// several shard×holder row intersections empty.
+// several shard×holder row intersections empty. A zero-object holder is
+// where the single-TP and shard wires differ — at K=1 it still sends one
+// empty chunk per schedule, on shard lanes it sends nothing — so that
+// input runs at K=1 too.
 func TestShardedMoreShardsThanRows(t *testing.T) {
-	parts := pipelineParts(t, 1) // holders of 1, 2 and 3 rows: 6 triangle rows
-	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1, SerialTP: true}
-	want, err := RunInMemory(base, parts, nil, deterministicRandom(25))
-	if err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	for _, k := range []int{4, 8} {
-		cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, TPShards: k}
-		got, err := RunInMemory(cfg, parts, nil, deterministicRandom(25))
+	withEmpty := pipelineParts(t, 1)
+	withEmpty[1] = dataset.Partition{Site: "B", Table: dataset.MustNewTable(pipelineSchema())}
+	for _, in := range []struct {
+		name   string
+		parts  []dataset.Partition
+		shards []int
+	}{
+		{"one-row holders", pipelineParts(t, 1), []int{4, 8}}, // 1, 2 and 3 rows: 6 triangle rows
+		{"zero-object holder", withEmpty, []int{1, 2, 4}},     // 1, 0 and 3 rows
+	} {
+		base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1}
+		want, err := runSerialRef(base, in.parts, nil, deterministicRandom(25), nil)
 		if err != nil {
-			t.Fatalf("shards=%d: %v", k, err)
+			t.Fatalf("%s baseline: %v", in.name, err)
 		}
-		assertSameOutcome(t, fmt.Sprintf("shards=%d", k), want, got)
+		for _, k := range in.shards {
+			cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, TPShards: k}
+			got, err := RunInMemory(cfg, in.parts, nil, deterministicRandom(25))
+			if err != nil {
+				t.Fatalf("%s shards=%d: %v", in.name, k, err)
+			}
+			assertSameOutcome(t, fmt.Sprintf("%s shards=%d", in.name, k), want, got)
+		}
 	}
 }
 

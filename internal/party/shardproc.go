@@ -23,8 +23,8 @@ package party
 //
 // The coordinator keeps the secured holder→shard conduits from the
 // handshake and relays every frame, byte for byte, to the owning worker
-// (one pump per (shard, holder) lane with the shared shardLaneQuotas
-// stream length). The worker feeds the bytes through an identical demux,
+// (one pump per (shard, holder) lane with the shared laneQuotas stream
+// length). The worker feeds the bytes through an identical demux,
 // so the shard pipeline reads the exact stream an in-process shard would —
 // bit-identity across deployments is code identity, not re-derivation.
 //
@@ -49,7 +49,6 @@ import (
 	"sync"
 	"time"
 
-	"ppclust/internal/dissim"
 	"ppclust/internal/keys"
 	"ppclust/internal/rng"
 	"ppclust/internal/wire"
@@ -69,12 +68,6 @@ type ShardDialFunc func(ctx context.Context, shard int, state ResumeState) (wire
 // worker that died after delivering its slices would park the send in the
 // Reconn, and the session must not wait on a corpse to publish results.
 const shardDoneGrace = 250 * time.Millisecond
-
-// remoteShards reports whether this TP runs its shards as separate worker
-// processes.
-func (tp *ThirdParty) remoteShards() bool {
-	return tp.cfg.ShardDial != nil && tp.cfg.shardCount() > 1
-}
 
 // shardLink is the coordinator's control link to one worker process.
 type shardLink struct {
@@ -208,7 +201,11 @@ func (tp *ThirdParty) dialShard(s int) (*shardLink, error) {
 					ErrSessionTimeout, TPName, s, tp.guard.phaseName(), err))
 			},
 		)
-		link.ep = wire.NewEndpoint(rc)
+		// A down Reconn no longer touches its inner conduit, so the guard's
+		// cancel must reach the Reconn itself: a session failure then
+		// unparks the link's senders and receivers instead of leaving them
+		// for the reconnect window.
+		link.ep = wire.NewEndpoint(tp.guard.bind(rc))
 	} else {
 		link.ep = wire.NewEndpoint(secured)
 	}
@@ -282,28 +279,18 @@ func (tp *ThirdParty) shardRedialLoop(link *shardLink) {
 	}
 }
 
-// runShardedRemote is the coordinator's session body for TPShards > 1 with
-// worker processes — runSharded with the shard pipelines on the far side
-// of the control protocol.
-func (tp *ThirdParty) runShardedRemote() (*TPReport, error) {
-	attrs := tp.cfg.Schema.Attrs
-	nAttr := len(attrs)
-	reqLane := nAttr
-
-	total := 0
-	offsets := make([]int, len(tp.counts))
-	for i, c := range tp.counts {
-		offsets[i] = total
-		total += c
+// startRemoteShards is the worker-process slice producer: it dials one
+// worker per active range (none for surplus shards), hands each its slice
+// offer, and starts the relay pumps and slice collectors on asm. The
+// returned settle ends the workers' runs after a clean assembly.
+func (tp *ThirdParty) startRemoteShards(asm *assembly, core *shardCore, ranges [][2]int, offsets []int, total int, slices [][][]float64) (settle func(), err error) {
+	// A slice too large for its frame is refused here, before any worker
+	// is dialed — the worker would refuse the offer anyway.
+	for s, r := range ranges {
+		if err := checkSliceRange(r[0], r[1], total); err != nil {
+			return nil, fmt.Errorf("party: shard %d: %w", s, err)
+		}
 	}
-	// Only the active ranges get workers: with fewer rows than shards the
-	// surplus holder conduits stay idle (holders derive the same partition)
-	// and no surplus process is dialed.
-	ranges := dissim.ShardRanges(total, len(tp.shardConduits))
-
-	classify := shardClassifier(nAttr, reqLane)
-	ctl := tp.controlDemuxes(reqLane, classify)
-
 	links := make([]*shardLink, len(ranges))
 	closeLinks := func() {
 		for _, l := range links {
@@ -312,29 +299,10 @@ func (tp *ThirdParty) runShardedRemote() (*TPReport, error) {
 			}
 		}
 	}
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			for _, d := range ctl {
-				d.Stop()
-			}
-			// Unparks slice collectors and relay sends; pumps parked in a
-			// holder-conduit Recv unwind when the session guard tears the
-			// bound transports down.
-			closeLinks()
-		}
-		mu.Unlock()
-	}
-	defer func() {
-		for _, d := range ctl {
-			d.Stop()
-		}
-	}()
+	// Unparks slice collectors and relay sends; pumps parked in a
+	// holder-conduit Recv unwind when the session guard tears the bound
+	// transports down.
+	asm.onFail(closeLinks)
 
 	// Dial the workers and hand each its slice.
 	seeds := tp.pairSeeds()
@@ -365,82 +333,55 @@ func (tp *ThirdParty) runShardedRemote() (*TPReport, error) {
 
 	// Relay pumps: one per (shard, holder) lane with a non-zero quota,
 	// copying exactly the lane's scheduled frame count. Pumps are not part
-	// of the session-gating WaitGroup — a pump parked in a holder Recv
+	// of the session-gating assembly — a pump parked in a holder Recv
 	// when some other component fails unwinds at guard teardown, exactly
 	// like a demux reader; on the clean path every pump has drained its
-	// quota by the time the collectors finish, so the join below is
+	// quota by the time the collectors finish, so settle's join is
 	// immediate.
 	var pumpWg sync.WaitGroup
 	for s, r := range ranges {
 		for hi := range tp.holders {
 			quota := 0
-			for _, q := range shardLaneQuotas(tp.cfg, tp.counts, offsets, hi, r) {
+			for _, q := range core.laneQuotas(offsets, hi, r) {
 				quota += q
 			}
 			if quota == 0 {
 				continue
 			}
 			pumpWg.Add(1)
-			go func(s, hi, quota int, src wire.Conduit, link *shardLink) {
+			go func(src wire.Conduit, link *shardLink) {
 				defer pumpWg.Done()
 				for i := 0; i < quota; i++ {
 					frame, err := src.Recv()
 					if err != nil {
-						fail(fmt.Errorf("party: relaying %s frames to shard worker %d: %w", tp.holders[hi], s, err))
+						asm.fail(fmt.Errorf("party: relaying %s frames to shard worker %d: %w", tp.holders[hi], s, err))
 						return
 					}
 					m := wire.Message{From: TPName, To: ShardName(s), Kind: kindShardFrame, Attr: hi}
 					if err := link.send(m, shardFrameBody{Frame: frame}); err != nil {
-						fail(fmt.Errorf("party: relaying %s frames to shard worker %d: %w", tp.holders[hi], s, err))
+						asm.fail(fmt.Errorf("party: relaying %s frames to shard worker %d: %w", tp.holders[hi], s, err))
 						return
 					}
 				}
-			}(s, hi, quota, tp.shardConduits[s][tp.holders[hi]], links[s])
+			}(tp.shardConduits[s][tp.holders[hi]], links[s])
 		}
 	}
 
-	matrices := make([]*dissim.Matrix, nAttr)
-	scales := make([]float64, nAttr)
-	slices := make([][]attrSlice, len(ranges))
-
-	var wg sync.WaitGroup
 	for s := range ranges {
-		slices[s] = make([]attrSlice, nAttr)
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
+		asm.spawn(func() {
 			if err := tp.collectShardSlices(s, links[s], slices[s]); err != nil {
-				fail(err)
+				asm.fail(err)
 			}
-		}(s)
+		})
 	}
-	tp.runTagStages(ctl, matrices, scales, &wg, fail)
-	wg.Wait()
-	if firstErr == nil {
-		pumpWg.Wait()
-	}
-	mu.Lock()
-	err := firstErr
-	mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-
 	// Clean hand-off: end each worker's run and drop the links before
 	// publishing — the workers are not session peers and hold no results.
-	for _, link := range links {
-		link.shutdown()
-	}
-
-	if err := tp.mergeShardSlices(total, ranges, slices, matrices, scales); err != nil {
-		return nil, err
-	}
-
-	return tp.finish(matrices, scales, func(hi int) (requestBody, error) {
-		var req requestBody
-		_, err := ctl[hi].Expect(reqLane, kindRequest, &req)
-		return req, err
-	})
+	return func() {
+		pumpWg.Wait()
+		for _, link := range links {
+			link.shutdown()
+		}
+	}, nil
 }
 
 // collectShardSlices drains worker s's control stream until every
@@ -448,7 +389,7 @@ func (tp *ThirdParty) runShardedRemote() (*TPReport, error) {
 // restarted worker recomputes and resends everything after the replay —
 // are dropped on arrival: the generations are bit-identical, so the first
 // install wins and the merge below never sees a double.
-func (tp *ThirdParty) collectShardSlices(s int, link *shardLink, out []attrSlice) error {
+func (tp *ThirdParty) collectShardSlices(s int, link *shardLink, out [][]float64) error {
 	attrs := tp.cfg.Schema.Attrs
 	need := 0
 	for _, a := range attrs {
@@ -479,7 +420,7 @@ func (tp *ThirdParty) collectShardSlices(s int, link *shardLink, out []attrSlice
 				continue
 			}
 			got[body.Attr] = true
-			out[body.Attr] = attrSlice{cells: body.Cells, max: body.Max}
+			out[body.Attr] = body.Cells
 			need--
 		default:
 			return fmt.Errorf("party: unexpected %q from shard worker %d", m.Kind, s)

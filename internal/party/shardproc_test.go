@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"ppclust/internal/keys"
 	"ppclust/internal/leakcheck"
 	"ppclust/internal/netid"
+	"ppclust/internal/rng"
 	"ppclust/internal/wire"
 )
 
@@ -120,8 +122,8 @@ func (p *shardWorkerPool) dialer(session string, wrap func(shard, dial int, c wi
 func TestShardProcMatchesInProcess(t *testing.T) {
 	parts := pipelineParts(t, 10)
 	reqs := pipelineReqs()
-	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1, SerialTP: true}
-	want, err := RunInMemory(base, parts, reqs, deterministicRandom(41))
+	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1}
+	want, err := runSerialRef(base, parts, reqs, deterministicRandom(41), nil)
 	if err != nil {
 		t.Fatalf("single-TP baseline: %v", err)
 	}
@@ -152,8 +154,8 @@ func TestShardProcMatchesInProcess(t *testing.T) {
 // registration at all — and the report stays bit-identical.
 func TestShardProcMoreShardsThanRows(t *testing.T) {
 	parts := pipelineParts(t, 1) // holders of 1, 2 and 3 rows: 6 triangle rows
-	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1, SerialTP: true}
-	want, err := RunInMemory(base, parts, nil, deterministicRandom(42))
+	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1}
+	want, err := runSerialRef(base, parts, nil, deterministicRandom(42), nil)
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -177,8 +179,8 @@ func TestChaosShardProcLinkFlapResumes(t *testing.T) {
 	leakcheck.Check(t)
 	parts := pipelineParts(t, 8)
 	reqs := pipelineReqs()
-	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1, SerialTP: true}
-	want, err := RunInMemory(base, parts, reqs, deterministicRandom(43))
+	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1}
+	want, err := runSerialRef(base, parts, reqs, deterministicRandom(43), nil)
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -212,8 +214,8 @@ func TestChaosShardProcWorkerRestartResumes(t *testing.T) {
 	leakcheck.Check(t)
 	parts := pipelineParts(t, 8)
 	reqs := pipelineReqs()
-	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1, SerialTP: true}
-	want, err := RunInMemory(base, parts, reqs, deterministicRandom(44))
+	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1}
+	want, err := runSerialRef(base, parts, reqs, deterministicRandom(44), nil)
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -383,23 +385,27 @@ func TestShardSliceDedup(t *testing.T) {
 			send(attr, []float64{4}, 4)
 		}
 	}()
-	out := make([]attrSlice, len(schema.Attrs))
+	out := make([][]float64, len(schema.Attrs))
 	if err := tp.collectShardSlices(0, link, out); err != nil {
 		t.Fatalf("collect: %v", err)
 	}
-	if got := out[comp[0]]; got.max != 3 || len(got.cells) != 3 || got.cells[0] != 1 {
+	if got := out[comp[0]]; len(got) != 3 || got[0] != 1 {
 		t.Fatalf("duplicate slice overwrote the first install: %+v", got)
 	}
 }
 
 // TestShardOfferValidation exercises the worker's offer hygiene: a
 // mismatched schema fingerprint, a shard index disagreeing with the
-// registration, and a range outside the census must all be refused as
-// aborts on the coordinator's link, not computed.
+// registration, a range outside the census, a slice too large for its
+// frame and a census whose total overflows must all be refused as aborts
+// on the coordinator's link, not computed — and the hostile offers must
+// leave the worker process serving: the same ShardServer then runs both
+// shards of a valid session.
 func TestShardOfferValidation(t *testing.T) {
 	leakcheck.Check(t)
 	pool := newShardWorkerPool(t, 1, ShardServerConfig{Schema: pipelineSchema()})
 	dial := pool.dialer("offer-validation", nil)
+	nAttr := len(pipelineSchema().Attrs)
 
 	for _, tc := range []struct {
 		name   string
@@ -410,6 +416,21 @@ func TestShardOfferValidation(t *testing.T) {
 		{"range", func(o *shardOfferBody) { o.Hi = 1 << 30 }},
 		{"seed-shape", func(o *shardOfferBody) { o.Seeds = o.Seeds[:1] }},
 		{"count-shape", func(o *shardOfferBody) { o.Counts = o.Counts[:1] }},
+		// 3·10⁹ rows: sizing the slice or its lane schedules from this
+		// offer would crash or exhaust the worker process.
+		{"oversized-slice", func(o *shardOfferBody) {
+			o.Counts = []int{1_500_000_000, 1_500_000_000}
+			o.Hi = 3_000_000_000
+		}},
+		// The counts wrap int to a total of 3, which the range fits.
+		{"census-overflow", func(o *shardOfferBody) {
+			o.Holders = []string{"A", "B", "C"}
+			o.Counts = []int{math.MaxInt, math.MaxInt, 5}
+			o.Seeds = make([][]rng.Seed, nAttr)
+			for attr := range o.Seeds {
+				o.Seeds[attr] = make([]rng.Seed, 3)
+			}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg, err := Config{Schema: pipelineSchema(), Variant: Float64Variant}.normalized()
@@ -451,6 +472,129 @@ func TestShardOfferValidation(t *testing.T) {
 				t.Fatalf("want an abort for a %s-mutated offer, got %q", tc.name, m.Kind)
 			}
 		})
+	}
+
+	// Both shards of a valid session register on the one surviving worker.
+	parts := pipelineParts(t, 4)
+	want, err := RunInMemory(Config{Schema: pipelineSchema(), Variant: Float64Variant}, parts, nil, deterministicRandom(45))
+	if err != nil {
+		t.Fatalf("single-TP reference: %v", err)
+	}
+	pool.mu.Lock()
+	addr := pool.addrs[0]
+	pool.mu.Unlock()
+	pool.setAddr(1, addr)
+	cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, TPShards: 2,
+		ShardDial: pool.dialer("after-hostile-offers", nil)}
+	got, err := RunInMemory(cfg, parts, nil, deterministicRandom(45))
+	if err != nil {
+		t.Fatalf("valid session after hostile offers: %v", err)
+	}
+	assertSameOutcome(t, "valid session after hostile offers", want, got)
+}
+
+// TestShardServerKeepsNewerRegistration: a registration whose handshake
+// completes after the coordinator's redial of the same shard (an older
+// epoch arriving late) must not supersede the newer run — the stale link
+// is closed and the newer run stays registered.
+func TestShardServerKeepsNewerRegistration(t *testing.T) {
+	leakcheck.Check(t)
+	pool := newShardWorkerPool(t, 1, ShardServerConfig{Schema: pipelineSchema()})
+	srv := pool.servers[0]
+	dial := pool.dialer("stale-epoch", nil)
+	cfg, err := Config{Schema: pipelineSchema(), Variant: Float64Variant}.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := &ThirdParty{cfg: cfg, guard: newGuard(TPName, cfg)}
+	defer tp.guard.release()
+	if tp.identity, err = keys.NewIdentity(TPName, rand.Reader); err != nil {
+		t.Fatal(err)
+	}
+	register := func(epoch uint32) wire.Conduit {
+		raw, _, err := dial(context.Background(), 0, ResumeState{Epoch: epoch})
+		if err != nil {
+			t.Fatalf("dial epoch %d: %v", epoch, err)
+		}
+		sec, err := tp.shardSecure(0, raw)
+		if err != nil {
+			t.Fatalf("handshake epoch %d: %v", epoch, err)
+		}
+		t.Cleanup(func() { sec.Close() })
+		return sec
+	}
+	key := shardRunKey{session: "stale-epoch", shard: 0}
+	registered := func() uint32 {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		if r := srv.runs[key]; r != nil {
+			return r.epoch
+		}
+		return 0
+	}
+	register(1)
+	for deadline := time.Now().Add(5 * time.Second); registered() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("epoch 1 never registered")
+		}
+	}
+	stale := register(0)
+	closed := make(chan error, 1)
+	go func() {
+		_, err := stale.Recv()
+		closed <- err
+	}()
+	select {
+	case err := <-closed:
+		if err == nil {
+			t.Fatal("stale epoch-0 registration received a frame")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("stale epoch-0 registration kept its link")
+	}
+	if got := registered(); got != 1 {
+		t.Fatalf("registered run has epoch %d after the stale registration, want 1", got)
+	}
+}
+
+// TestCheckSliceRange pins the slice-size predicate the coordinator applies
+// before dialing and the worker before sizing anything: ranges outside
+// the census and slices past one frame are refused, overflow included,
+// and the coordinator refuses before its first dial.
+func TestCheckSliceRange(t *testing.T) {
+	for _, tc := range []struct {
+		lo, hi, total int
+		ok            bool
+	}{
+		{0, 0, 0, true},
+		{0, 1200, 1200, true},
+		{600, 1200, 1200, true},
+		{-1, 3, 4, false},
+		{3, 2, 4, false},
+		{0, 5, 4, false},
+		{0, 8192, 8192, true},                    // 33,550,336 cells: at most maxSliceCells
+		{0, 8193, 8193, false},                   // 33,558,528 cells: over it
+		{0, 3_000_000_000, 3_000_000_000, false}, // the oversized offer
+		{math.MaxInt - 1, math.MaxInt, math.MaxInt, false},
+	} {
+		if err := checkSliceRange(tc.lo, tc.hi, tc.total); (err == nil) != tc.ok {
+			t.Errorf("checkSliceRange(%d, %d, %d) = %v, want ok=%v", tc.lo, tc.hi, tc.total, err, tc.ok)
+		}
+	}
+	if _, _, err := censusLayout([]int{math.MaxInt, math.MaxInt, 5}); err == nil {
+		t.Error("census total overflow accepted")
+	}
+	// The coordinator refuses an oversized partition before dialing.
+	tp := &ThirdParty{cfg: Config{ShardDial: func(context.Context, int, ResumeState) (wire.Conduit, ResumeGrant, error) {
+		t.Fatal("coordinator dialed a worker for an oversized slice")
+		return nil, ResumeGrant{}, nil
+	}}}
+	if _, err := tp.startRemoteShards(&assembly{}, nil, [][2]int{{0, 2_000_000_000}, {2_000_000_000, 3_000_000_000}},
+		[]int{0, 1_500_000_000}, 3_000_000_000, nil); err == nil {
+		t.Error("coordinator accepted an oversized shard range")
+	}
+	if _, _, err := censusLayout([]int{3, -1}); err == nil {
+		t.Error("negative census count accepted")
 	}
 }
 

@@ -213,6 +213,13 @@ func (s *ShardServer) handle(conn net.Conn) {
 		return
 	}
 	if old := s.runs[run.key]; old != nil {
+		if old.epoch > run.epoch {
+			// A registration whose handshake lost the race to the
+			// coordinator's own redial: the newer run stands.
+			s.mu.Unlock()
+			secured.Close()
+			return
+		}
 		// Re-registration after a crash of the coordinator's link (or a
 		// coordinator that never learned its old link died): the stream
 		// restarts from the beginning, so the old run must not keep
@@ -356,17 +363,15 @@ func (r *shardRun) run(offer shardOfferBody) error {
 			return fmt.Errorf("party: offer attribute %d carries %d pair seeds, want %d", attr, len(offer.Seeds[attr]), len(pairs))
 		}
 	}
-	total := 0
-	offsets := make([]int, len(offer.Counts))
-	for i, c := range offer.Counts {
-		if c < 0 {
-			return fmt.Errorf("party: offer census holds a negative count for %s", offer.Holders[i])
-		}
-		offsets[i] = total
-		total += c
+	// The census and range size everything below — lane schedules, relay
+	// queues, the slice itself — so both are checked before any of it is
+	// allocated.
+	offsets, total, err := censusLayout(offer.Counts)
+	if err != nil {
+		return err
 	}
-	if offer.Lo < 0 || offer.Hi < offer.Lo || offer.Hi > total {
-		return fmt.Errorf("party: offer range [%d,%d) outside the census total %d", offer.Lo, offer.Hi, total)
+	if err := checkSliceRange(offer.Lo, offer.Hi, total); err != nil {
+		return err
 	}
 	rg := [2]int{offer.Lo, offer.Hi}
 	seeds := offer.Seeds
@@ -392,7 +397,7 @@ func (r *shardRun) run(offer shardOfferBody) error {
 	for hi := range offer.Holders {
 		a, b := wire.Pipe()
 		feeds[hi] = a
-		lanes := shardLaneQuotas(cfg, offer.Counts, offsets, hi, rg)
+		lanes := core.laneQuotas(offsets, hi, rg)
 		for _, q := range lanes {
 			quotas[hi] += q
 		}
@@ -424,11 +429,11 @@ func (r *shardRun) run(offer shardOfferBody) error {
 	// The pipeline computes on its own goroutine and, on success, sends
 	// the slices back itself — ascending by attribute, so the reply order
 	// is deterministic.
-	out := make([]attrSlice, nAttr)
+	out := make([][]float64, nAttr)
 	computeDone := make(chan struct{})
 	go func() {
 		defer close(computeDone)
-		core.runShard(r.key.shard, rg, demux, out, fail)
+		core.runShard(r.key.shard, rg, demux, out, nil, fail)
 		mu.Lock()
 		failed := runErr != nil
 		mu.Unlock()
@@ -439,7 +444,14 @@ func (r *shardRun) run(offer shardOfferBody) error {
 			if tagBased(a.Type) {
 				continue
 			}
-			if err := r.send(kindShardSlice, attr, shardSliceBody{Attr: attr, Cells: out[attr].cells, Max: out[attr].max}); err != nil {
+			// The merge recomputes the maximum; the frame still carries it.
+			max := 0.0
+			for _, v := range out[attr] {
+				if v > max {
+					max = v
+				}
+			}
+			if err := r.send(kindShardSlice, attr, shardSliceBody{Attr: attr, Cells: out[attr], Max: max}); err != nil {
 				fail(err)
 				return
 			}

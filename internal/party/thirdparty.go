@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 
 	"ppclust/internal/catdist"
@@ -37,7 +36,7 @@ func ActiveStages() int64 { return activeStages.Load() }
 // messages, so a fast sender can run only a bounded distance ahead of
 // assembly. Depth 4 keeps the CPU fed on real links without hoarding
 // per-stage scratch memory. The effective width is further capped by the
-// session's Parallelism budget (see stageWidth): stage concurrency must
+// session's Parallelism budget (see stageWidthFor): stage concurrency must
 // never put more compute in flight than the operator allowed, and at
 // Parallelism 1 assembly compute stays strictly serial — wire overlap
 // then comes from the demux readers prefetching into their mailboxes.
@@ -64,17 +63,11 @@ type ThirdParty struct {
 	counts   []int
 	guard    *guard
 
-	// shardEps[s][holder] is shard s's endpoint to that holder; empty
-	// (nil) on the single-TP path. All shards run in-process under the
-	// coordinator's guard — the shard split partitions rows and wire
-	// lanes, not trust.
-	shardEps []map[string]*wire.Endpoint
-
-	// shardConduits[s][holder] is the secured holder→shard-s conduit when
-	// the shards run as separate worker processes (Config.ShardDial set):
-	// the coordinator keeps the raw conduit instead of an endpoint and
-	// relays each frame, byte for byte, to the owning worker. Exactly one
-	// of shardEps/shardConduits is populated for a sharded session.
+	// shardConduits[s][holder] is the secured holder→shard-s conduit;
+	// empty (nil) for the single TP. In-process shards read it through a
+	// demux; with worker processes (Config.ShardDial set) the coordinator
+	// relays each frame, byte for byte, to the owning worker. The shard
+	// split partitions rows and wire lanes, not trust.
 	shardConduits []map[string]wire.Conduit
 
 	// resumeLanes registers each Reconn-armed holder lane for Resume;
@@ -117,9 +110,6 @@ func NewThirdParty(holders []string, cfg Config, conduits map[string]wire.Condui
 		}
 	}
 	if k := cfg.shardCount(); k > 1 {
-		if cfg.SerialTP {
-			return nil, fmt.Errorf("party: SerialTP is the single-TP reference engine and requires TPShards <= 1, have %d", k)
-		}
 		for _, h := range holders {
 			for s := 0; s < k; s++ {
 				if conduits[ShardConduitKey(h, s)] == nil {
@@ -155,57 +145,19 @@ func (tp *ThirdParty) handshakeAll(conduits map[string]wire.Conduit) error {
 	if err != nil {
 		return err
 	}
-	fp := schemaFingerprint(tp.cfg.Schema)
-	hello := helloBody{Public: tp.identity.PublicBytes(), Fingerprint: fp}
-	nShardLanes := 0
+	hello := helloBody{Public: tp.identity.PublicBytes(), Fingerprint: schemaFingerprint(tp.cfg.Schema)}
 	if k := tp.cfg.shardCount(); k > 1 {
-		nShardLanes = k
-		if tp.remoteShards() {
-			tp.shardConduits = make([]map[string]wire.Conduit, k)
-			for s := range tp.shardConduits {
-				tp.shardConduits[s] = make(map[string]wire.Conduit)
-			}
-		} else {
-			tp.shardEps = make([]map[string]*wire.Endpoint, k)
-			for s := range tp.shardEps {
-				tp.shardEps[s] = make(map[string]*wire.Endpoint)
-			}
+		tp.shardConduits = make([]map[string]wire.Conduit, k)
+		for s := range tp.shardConduits {
+			tp.shardConduits[s] = make(map[string]wire.Conduit)
 		}
 	}
 	for _, h := range tp.holders {
-		// bind sits directly on the raw conduit — below the AES-GCM layer —
-		// so a lifecycle cancel closes the real transport and unparks any
-		// blocked read, and every frame either way feeds the watchdog.
-		bound := tp.guard.bind(conduits[h])
-		ep := wire.NewEndpoint(bound)
-		if err := ep.SendBody(wire.Message{From: TPName, To: h, Kind: kindHello, Attr: -1}, hello); err != nil {
-			return err
-		}
-		var peerHello helloBody
-		if _, err := expectMsg(ep, kindHello, &peerHello); err != nil {
-			return fmt.Errorf("party: TP hello from %s: %w", h, err)
-		}
-		if peerHello.Fingerprint != fp {
-			return fmt.Errorf("party: TP and %s disagree on the schema", h)
-		}
-		master, err := tp.identity.Master(peerHello.Public)
+		secured, master, err := tp.secureLane(h, TPName, 0, conduits[h], hello)
 		if err != nil {
 			return err
 		}
 		tp.masters[h] = master
-		secured := bound
-		if !tp.cfg.PlaintextChannels {
-			key := keys.DeriveKey(master, keys.PurposeChannel, h, TPName)
-			secured, err = wire.Secure(bound, key, false)
-			if err != nil {
-				return err
-			}
-		}
-		// Resumable sessions park a severed holder lane in the Reconn and
-		// wait for the acceptor to deliver a replacement via Resume.
-		if tp.cfg.ResumeWindow > 0 {
-			secured = tp.armResume(secured, h, 0)
-		}
 		tp.eps[h] = wire.NewEndpoint(secured)
 		// Shard conduits, ascending, right after the holder's control
 		// conduit — the holder handshakes them in the same order, and both
@@ -217,43 +169,16 @@ func (tp *ThirdParty) handshakeAll(conduits map[string]wire.Conduit) error {
 		// The holder's side is identical whether the shard runs in-process
 		// or as a worker process: in remote mode the coordinator keeps the
 		// secured conduit and relays its frames to the worker.
-		for s := 0; s < nShardLanes; s++ {
+		for s := range tp.shardConduits {
 			name := ShardName(s)
-			sb := tp.guard.bind(conduits[ShardConduitKey(h, s)])
-			sep := wire.NewEndpoint(sb)
-			if err := sep.SendBody(wire.Message{From: name, To: h, Kind: kindHello, Attr: -1}, hello); err != nil {
-				return err
-			}
-			var shardHello helloBody
-			if _, err := expectMsg(sep, kindHello, &shardHello); err != nil {
-				return fmt.Errorf("party: %s hello from %s: %w", name, h, err)
-			}
-			if shardHello.Fingerprint != fp {
-				return fmt.Errorf("party: %s and %s disagree on the schema", name, h)
-			}
-			shardMaster, err := tp.identity.Master(shardHello.Public)
+			ssecured, shardMaster, err := tp.secureLane(h, name, s+1, conduits[ShardConduitKey(h, s)], hello)
 			if err != nil {
 				return err
 			}
 			if string(shardMaster) != string(master) {
 				return fmt.Errorf("party: %s presented a different identity on shard conduit %s", h, name)
 			}
-			ssecured := sb
-			if !tp.cfg.PlaintextChannels {
-				key := keys.DeriveKey(master, keys.PurposeChannel, h, name)
-				ssecured, err = wire.Secure(sb, key, false)
-				if err != nil {
-					return err
-				}
-			}
-			if tp.cfg.ResumeWindow > 0 {
-				ssecured = tp.armResume(ssecured, h, s+1)
-			}
-			if tp.remoteShards() {
-				tp.shardConduits[s][h] = ssecured
-			} else {
-				tp.shardEps[s][h] = wire.NewEndpoint(ssecured)
-			}
+			tp.shardConduits[s][h] = ssecured
 		}
 	}
 	// With every channel established the third party can explain a failure
@@ -264,6 +189,42 @@ func (tp *ThirdParty) handshakeAll(conduits map[string]wire.Conduit) error {
 	return nil
 }
 
+// secureLane runs the hello exchange on one holder lane — the control
+// conduit (TPName, resume lane 0) or shard conduit s (ShardName(s), lane
+// s+1) — returning the secured conduit and the lane's X25519 master. bind
+// sits on the raw conduit, below AES-GCM, so a lifecycle cancel closes the
+// real transport, and every frame either way feeds the watchdog.
+func (tp *ThirdParty) secureLane(h, name string, lane int, raw wire.Conduit, hello helloBody) (wire.Conduit, []byte, error) {
+	bound := tp.guard.bind(raw)
+	ep := wire.NewEndpoint(bound)
+	if err := ep.SendBody(wire.Message{From: name, To: h, Kind: kindHello, Attr: -1}, hello); err != nil {
+		return nil, nil, err
+	}
+	var peer helloBody
+	if _, err := expectMsg(ep, kindHello, &peer); err != nil {
+		return nil, nil, fmt.Errorf("party: %s hello from %s: %w", name, h, err)
+	}
+	if peer.Fingerprint != hello.Fingerprint {
+		return nil, nil, fmt.Errorf("party: %s and %s disagree on the schema", name, h)
+	}
+	master, err := tp.identity.Master(peer.Public)
+	if err != nil {
+		return nil, nil, err
+	}
+	secured := bound
+	if !tp.cfg.PlaintextChannels {
+		if secured, err = wire.Secure(bound, keys.DeriveKey(master, keys.PurposeChannel, h, name), false); err != nil {
+			return nil, nil, err
+		}
+	}
+	// Resumable sessions park a severed holder lane in the Reconn and
+	// wait for the acceptor to deliver a replacement via Resume.
+	if tp.cfg.ResumeWindow > 0 {
+		secured = tp.armResume(secured, h, lane)
+	}
+	return secured, master, nil
+}
+
 // seedJT mirrors Holder.seedJT for the initiator j of pair (j, k).
 func (tp *ThirdParty) seedJT(attr int, j, k string) rng.Seed {
 	base := keys.DeriveSeed(tp.masters[j], keys.PurposeMaskRNG, j, TPName)
@@ -271,9 +232,9 @@ func (tp *ThirdParty) seedJT(attr int, j, k string) rng.Seed {
 }
 
 // attrSource feeds one attribute's assembly stage the protocol messages
-// of that attribute, per holder, in the holder's send order. The
-// pipelined engine backs it with demultiplexed mailboxes; the serial
-// reference path reads the endpoints directly.
+// of that attribute, per holder, in the holder's send order. The session
+// driver backs it with demultiplexed mailboxes; the phase-serial test
+// reference reads the endpoints directly.
 type attrSource interface {
 	expect(hi int, kind wire.Kind, body any) (*wire.Message, error)
 }
@@ -289,29 +250,17 @@ func (s demuxSource) expect(hi int, kind wire.Kind, body any) (*wire.Message, er
 	return s.ds[hi].Expect(s.lane, kind, body)
 }
 
-// epSource reads the holder endpoints directly — the phase-serial
-// consumption order, valid only when attributes are processed one at a
-// time in schema order (Config.SerialTP).
-type epSource struct{ tp *ThirdParty }
-
-func (s epSource) expect(hi int, kind wire.Kind, body any) (*wire.Message, error) {
-	return expectMsg(s.tp.eps[s.tp.holders[hi]], kind, body)
-}
-
 // Run executes the third party's side and returns the session report.
 //
-// By default the per-attribute work runs as a bounded pipeline: one
-// reader goroutine per holder demultiplexes that holder's message stream
-// into per-attribute mailboxes, and a pool of pipelineDepth stage
-// goroutines pulls complete attributes through receive → assemble →
-// normalize, so attribute i's matrix is being decoded and assembled while
-// attribute i+1 is still streaming in, and clustering starts the moment
-// the last matrix lands. Every stage writes only its own attribute's
-// slot and borrows a private engine from the pool, so the report is
-// bit-identical to the serial path at any worker count or pipeline
-// schedule. Config.SerialTP selects the phase-serial reference path
-// instead (one attribute at a time, blocking reads — the pre-pipeline
-// behavior, retained for benchmarks and differential tests).
+// The per-attribute work runs as a bounded pipeline: one reader goroutine
+// per holder stream demultiplexes it into per-attribute mailboxes, and
+// pools of at most pipelineDepth stage goroutines pull attributes through
+// receive → evaluate → assemble, so attribute i's matrix is being decoded
+// and assembled while attribute i+1 is still streaming in, and clustering
+// starts the moment the last matrix lands. Every stage writes only its
+// own attribute's slot and borrows a private engine from the pool, so the
+// report is bit-identical at any worker count, shard count or pipeline
+// schedule.
 func (tp *ThirdParty) Run() (*TPReport, error) { return tp.RunContext(context.Background()) }
 
 // RunContext is Run bounded by a caller context: cancelling ctx aborts the
@@ -331,176 +280,123 @@ func (tp *ThirdParty) RunContext(ctx context.Context) (*TPReport, error) {
 	return rep, nil
 }
 
+// run is the third party's one session body, for every shard count and
+// deployment: census → row ranges → per-holder control demux → slice
+// producers → tag-attribute stages → merge → finish. The single TP is the
+// K=1 case: one range covers the whole triangle and its local producer
+// reads the control demuxes, with the tag attributes in its stage pool so
+// the session runs at most stageWidthFor(nAttr, workers) stages. With
+// K > 1 the slices come from in-process shards or worker processes fed by
+// the shard conduits, and the tag attributes get a pool of their own.
 func (tp *ThirdParty) run() (*TPReport, error) {
 	tp.guard.setPhase("census")
 	if err := tp.census(); err != nil {
 		return nil, err
 	}
 	tp.guard.setPhase("assemble")
-	if len(tp.shardConduits) > 0 {
-		return tp.runShardedRemote()
+	offsets, total, err := censusLayout(tp.counts)
+	if err != nil {
+		return nil, err
 	}
-	if len(tp.shardEps) > 0 {
-		return tp.runSharded()
-	}
-	if tp.cfg.SerialTP {
-		return tp.runSerial()
-	}
-	return tp.runPipelined()
-}
-
-func (tp *ThirdParty) runPipelined() (*TPReport, error) {
 	attrs := tp.cfg.Schema.Attrs
 	nAttr := len(attrs)
 	reqLane := nAttr
-
-	// One demux per holder: lane a carries attribute a's messages (the
-	// local-matrix chunk frames plus the S/M chunk frames of every pair
-	// this holder responds in, or the single tag column), the extra lane
-	// carries the clustering request that ends the holder's stream.
-	demux := make([]*wire.Demux, len(tp.holders))
-	classify := func(m *wire.Message) (int, error) {
-		// A peer's abort terminates the whole stream: the classify error
-		// becomes the demux's terminal error, every lane closes, and the
-		// stages observe the classified reason instead of a routing error.
-		if m.Kind == kindAbort {
-			return 0, peerAbortError(m)
-		}
-		if m.Kind == kindRequest {
-			return reqLane, nil
-		}
-		if m.Attr < 0 || m.Attr >= nAttr {
-			return 0, fmt.Errorf("party: message %q for attribute %d outside schema", m.Kind, m.Attr)
-		}
-		return m.Attr, nil
+	k := tp.cfg.shardCount()
+	// With fewer rows than shards, ShardRanges returns fewer ranges and
+	// the surplus conduits stay idle on both sides.
+	ranges := dissim.ShardRanges(total, k)
+	if k == 1 {
+		// Single-TP holders send every schedule unrestricted — an empty
+		// holder its one empty chunk — so even an all-empty census needs
+		// a (then empty) range whose producer drains those frames.
+		ranges = [][2]int{{0, total}}
 	}
+	core := tp.core()
+
+	// One demux per holder control conduit: lane a carries attribute a's
+	// frames (a tag column, or at K=1 the comparison chunk frames), the
+	// extra lane the clustering request that ends the holder's stream.
+	classify := shardClassifier(nAttr, reqLane)
+	ctl := make([]*wire.Demux, len(tp.holders))
 	for hi, h := range tp.holders {
-		// The chunk schedules are pure functions of the census and the
-		// shared Config, so each lane's quota — local-matrix chunk frames
-		// plus the S/M chunk frames of every pair (j, holder), j < holder,
-		// this holder responds in — is known before the first frame
-		// arrives.
-		chunks := len(tp.cfg.localChunks(tp.counts[hi]))
-		counts := make([]int, nAttr+1)
+		quotas := make([]int, nAttr+1)
+		if k == 1 {
+			copy(quotas, core.laneQuotas(offsets, hi, ranges[0]))
+		}
 		for attr, a := range attrs {
 			if tagBased(a.Type) {
-				counts[attr] = 1 // the encrypted column
-				continue
-			}
-			counts[attr] = chunks
-			for j := 0; j < hi; j++ {
-				counts[attr] += tp.cfg.pairChunkCount(a.Type, tp.counts[hi], tp.counts[j])
+				quotas[attr] = 1 // the encrypted column
 			}
 		}
-		counts[reqLane] = 1
-		demux[hi] = wire.NewDemux(tp.eps[h], counts, laneBuffer, classify)
+		quotas[reqLane] = 1
+		ctl[hi] = wire.NewDemux(tp.eps[h], quotas, laneBuffer, classify)
 	}
-	defer func() {
-		for _, d := range demux {
-			d.Stop()
-		}
-	}()
+	defer stopDemuxes(ctl)
+	asm := &assembly{}
+	asm.onFail(func() { stopDemuxes(ctl) })
 
 	matrices := make([]*dissim.Matrix, nAttr)
 	scales := make([]float64, nAttr)
-	attrCh := make(chan int, nAttr)
-	for attr := 0; attr < nAttr; attr++ {
-		attrCh <- attr
-	}
-	close(attrCh)
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			// Release reader goroutines blocked on mailboxes no stage
-			// will drain, and abort sibling stages waiting in Next —
-			// even those waiting on a holder whose reader is parked in
-			// a conduit Recv that Stop cannot reach.
-			for _, d := range demux {
-				d.Stop()
-			}
-		}
-		mu.Unlock()
-	}
-	for w, width := 0, tp.stageWidth(nAttr); w < width; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			activeStages.Add(1)
-			defer activeStages.Add(-1)
-			eng := tp.engines.Get()
-			defer tp.engines.Put(eng)
-			for attr := range attrCh {
-				m, err := tp.assembleAttr(eng, attr, demuxSource{ds: demux, lane: attr})
-				if err != nil {
-					fail(fmt.Errorf("party: assembling attribute %q: %w", tp.cfg.Schema.Attrs[attr].Name, err))
-					return
-				}
-				scales[attr] = m.NormalizePar(tp.workers)
-				matrices[attr] = m
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	return tp.finish(matrices, scales, func(hi int) (requestBody, error) {
-		var req requestBody
-		_, err := demux[hi].Expect(reqLane, kindRequest, &req)
-		return req, err
-	})
-}
-
-// stageWidth resolves the pipeline's stage-pool size from the session's
-// Parallelism budget (see stageWidthFor).
-func (tp *ThirdParty) stageWidth(nAttr int) int {
-	return stageWidthFor(nAttr, tp.workers)
-}
-
-// runSerial is the phase-serial reference engine: attributes are
-// received, assembled and normalized strictly one after the other, in
-// schema order, with blocking endpoint reads — the wire sits idle while
-// the CPU assembles and vice versa. Benchmarks run it as the baseline
-// the pipeline is measured against, and differential tests pin the
-// pipelined report to be bit-identical to this path's.
-func (tp *ThirdParty) runSerial() (*TPReport, error) {
-	eng := tp.engines.Get()
-	defer tp.engines.Put(eng)
-	matrices := make([]*dissim.Matrix, len(tp.cfg.Schema.Attrs))
-	scales := make([]float64, len(tp.cfg.Schema.Attrs))
-	for attr := range tp.cfg.Schema.Attrs {
-		m, err := tp.assembleAttr(eng, attr, epSource{tp})
+	tagStage := func(attr int) error {
+		m, err := tp.assembleTags(attr, demuxSource{ds: ctl, lane: attr})
 		if err != nil {
-			return nil, fmt.Errorf("party: assembling attribute %q: %w", tp.cfg.Schema.Attrs[attr].Name, err)
+			return fmt.Errorf("party: assembling attribute %q: %w", attrs[attr].Name, err)
 		}
 		scales[attr] = m.NormalizePar(tp.workers)
 		matrices[attr] = m
+		return nil
+	}
+	slices := make([][][]float64, len(ranges))
+	for s := range slices {
+		slices[s] = make([][]float64, nAttr)
+	}
+	var settle func()
+	switch {
+	case k == 1:
+		asm.spawn(func() { core.runShard(0, ranges[0], ctl, slices[0], tagStage, asm.fail) })
+	case tp.cfg.ShardDial != nil:
+		if settle, err = tp.startRemoteShards(asm, core, ranges, offsets, total, slices); err != nil {
+			return nil, err
+		}
+	default:
+		tp.startLocalShards(asm, core, ranges, offsets, slices)
+	}
+	if k > 1 {
+		var tagAttrs []int
+		for attr, a := range attrs {
+			if tagBased(a.Type) {
+				tagAttrs = append(tagAttrs, attr)
+			}
+		}
+		asm.spawn(func() {
+			runStages(tagAttrs, tp.workers, tp.engines, func(_ *protocol.Engine, attr int) error {
+				return tagStage(attr)
+			}, asm.fail)
+		})
+	}
+	if err := asm.wait(); err != nil {
+		return nil, err
+	}
+	if settle != nil {
+		settle()
+	}
+
+	if err := tp.mergeShardSlices(total, ranges, slices, matrices, scales); err != nil {
+		return nil, err
 	}
 	return tp.finish(matrices, scales, func(hi int) (requestBody, error) {
 		var req requestBody
-		_, err := expectMsg(tp.eps[tp.holders[hi]], kindRequest, &req)
+		_, err := ctl[hi].Expect(reqLane, kindRequest, &req)
 		return req, err
 	})
 }
 
-// assembleAttr dispatches one attribute's receive+assemble stage.
-func (tp *ThirdParty) assembleAttr(eng *protocol.Engine, attr int, src attrSource) (*dissim.Matrix, error) {
-	switch tp.cfg.Schema.Attrs[attr].Type {
-	case dataset.Categorical:
+// assembleTags dispatches one tag-based attribute's receive+assemble.
+func (tp *ThirdParty) assembleTags(attr int, src attrSource) (*dissim.Matrix, error) {
+	if tp.cfg.Schema.Attrs[attr].Type == dataset.Categorical {
 		return tp.assembleCategorical(attr, src)
-	case dataset.Hierarchical:
-		return tp.assembleHierarchical(attr, src)
-	default:
-		return tp.assembleComparison(eng, attr, src)
 	}
+	return tp.assembleHierarchical(attr, src)
 }
 
 // finish serves the clustering requests: each holder's request is read
@@ -580,82 +476,6 @@ func (tp *ThirdParty) census() error {
 	return nil
 }
 
-// recvLocal consumes one holder's local-matrix chunk stream for one
-// attribute. The pipelined engine installs each row-range frame into the
-// assembler the moment it arrives (SetLocalRows), so triangle installation
-// overlaps the rest of the attribute's traffic still on the wire; the
-// phase-serial reference path instead reassembles the chunks into the
-// monolithic packed triangle and performs the old FromPacked + SetLocal
-// install, pinning that chunked streaming is pure framing — the
-// differential tests hold the two paths bit-identical at every chunk size.
-// Chunks must follow the shared schedule exactly: holder and third party
-// derive it from the same Config, so any deviation is a protocol error.
-func (tp *ThirdParty) recvLocal(asm *dissim.Assembler, src attrSource, hi int, h string, attr int) error {
-	n := tp.counts[hi]
-	chunks := tp.cfg.localChunks(n)
-	if !tp.cfg.SerialTP {
-		return tp.core().recvLocalRows(asm, src, hi, h, attr, chunks)
-	}
-	mono := make([]float64, 0, n*(n-1)/2)
-	for ci, ch := range chunks {
-		var body localBody
-		m, err := src.expect(hi, kindLocal, &body)
-		if err != nil {
-			return err
-		}
-		if m.Attr != attr {
-			return fmt.Errorf("party: %s sent local matrix for attr %d, want %d", h, m.Attr, attr)
-		}
-		if body.N != n {
-			return fmt.Errorf("party: %s local matrix has %d objects, census says %d", h, body.N, n)
-		}
-		if body.Lo != ch[0] || body.Hi != ch[1] {
-			return fmt.Errorf("party: %s local chunk %d covers rows [%d,%d), schedule says [%d,%d)",
-				h, ci, body.Lo, body.Hi, ch[0], ch[1])
-		}
-		mono = append(mono, body.Cells...)
-	}
-	local, err := dissim.FromPacked(n, mono)
-	if err != nil {
-		return err
-	}
-	return asm.SetLocal(hi, local)
-}
-
-// localInstaller and crossInstaller are the row-exact install surfaces
-// shared by the global Assembler (single TP) and the SliceAssembler (one
-// TP shard) — the receive loops are written against them once, so shard
-// assembly is the same code over a restricted schedule.
-type localInstaller interface {
-	SetLocalRows(p, lo, hi int, cells []float64) error
-}
-
-type crossInstaller interface {
-	SetCrossRows(j, k, lo, hi int, at func(m, n int) float64) error
-}
-
-// assembleComparison builds one numeric or alphanumeric attribute's global
-// matrix: each holder's local matrix (the attribute's leading chunk frames
-// on that holder's stream) plus protocol-decoded cross blocks, pulled from
-// src in the fixed pair order every holder sends in.
-func (tp *ThirdParty) assembleComparison(eng *protocol.Engine, attr int, src attrSource) (*dissim.Matrix, error) {
-	asm, err := dissim.NewAssemblerPar(tp.counts, tp.workers)
-	if err != nil {
-		return nil, err
-	}
-	for hi, h := range tp.holders {
-		if err := tp.recvLocal(asm, src, hi, h, attr); err != nil {
-			return nil, err
-		}
-	}
-	for _, pair := range sortedPairs(tp.holders) {
-		if err := tp.recvPair(eng, asm, src, attr, pair[0], pair[1]); err != nil {
-			return nil, err
-		}
-	}
-	return asm.Done()
-}
-
 // checkPairChunk validates one received S/M chunk frame against the
 // shared pairChunks schedule. Responder and third party derive the
 // schedule from the same Config and census, so a frame that claims a
@@ -669,200 +489,6 @@ func checkPairChunk(j, k string, ci int, sched [2]int, bodyRows, lo, hi, rows in
 	if lo != sched[0] || hi != sched[1] {
 		return fmt.Errorf("party: %s pair (%s,%s) chunk %d covers rows [%d,%d), schedule says [%d,%d)",
 			k, j, k, ci, lo, hi, sched[0], sched[1])
-	}
-	return nil
-}
-
-// recvPair consumes the responder→TP S/M chunk stream of one (attribute,
-// pair) and installs the decoded distance block. The pipelined engine
-// evaluates each row-range chunk the moment it arrives (the protocol
-// engine's *Rows methods, sharing one jt stream per pair so batched
-// keystreams stay aligned) and installs it with the row-exact
-// SetCrossRows, so unmasking and placement of a pair's block overlap the
-// rest of the payload still on the wire; the phase-serial reference path
-// instead reassembles the chunks into the monolithic payload and performs
-// the old whole-matrix evaluation + SetCross install, pinning that
-// pairwise chunking is pure framing — the differential tests hold the two
-// paths bit-identical at every chunk size.
-func (tp *ThirdParty) recvPair(eng *protocol.Engine, asm *dissim.Assembler, src attrSource, attr, ji, ki int) error {
-	a := tp.cfg.Schema.Attrs[attr]
-	j, k := tp.holders[ji], tp.holders[ki]
-	rows, cols := tp.counts[ki], tp.counts[ji]
-	chunks := tp.cfg.pairChunks(a.Type, rows, cols)
-	jt := rng.New(tp.cfg.RNG, tp.seedJT(attr, j, k))
-
-	if tp.cfg.SerialTP {
-		return tp.recvPairSerial(eng, asm, src, attr, ji, ki, jt, chunks)
-	}
-	return tp.core().recvPairRows(eng, asm, src, attr, ji, ki, jt, chunks)
-}
-
-// recvPairSerial is the phase-serial reference consumption of one pair's
-// S/M chunk stream: the chunks are reassembled into the pre-chunking
-// monolithic payload, evaluated in one whole-matrix engine pass and
-// installed with the monolithic SetCross — the exact pre-streaming code
-// path over the chunked wire, which is what pins chunking as pure framing.
-func (tp *ThirdParty) recvPairSerial(eng *protocol.Engine, asm *dissim.Assembler, src attrSource, attr, ji, ki int, jt rng.Stream, chunks [][2]int) error {
-	a := tp.cfg.Schema.Attrs[attr]
-	j, k := tp.holders[ji], tp.holders[ki]
-	rows, cols := tp.counts[ki], tp.counts[ji]
-
-	var block func(m, n int) float64
-	var bRows, bCols int
-	if a.Type == dataset.Alphanumeric {
-		mono := make([][]*protocol.SymbolMatrix, 0, rows)
-		for ci, ch := range chunks {
-			var body alphaMBody
-			if _, err := src.expect(ki, kindAlphaM, &body); err != nil {
-				return err
-			}
-			if err := checkPairChunk(j, k, ci, ch, body.Rows, body.Lo, body.Hi, rows); err != nil {
-				return err
-			}
-			if len(body.M) != ch[1]-ch[0] {
-				return fmt.Errorf("party: %s pair (%s,%s) chunk %d carries %d rows, want %d",
-					k, j, k, ci, len(body.M), ch[1]-ch[0])
-			}
-			mono = append(mono, body.M...)
-		}
-		dists, err := eng.AlphaThirdParty(mono, a.Alphabet, jt)
-		if err != nil {
-			return err
-		}
-		bRows, bCols = dists.Rows, dists.Cols
-		block = func(m, n int) float64 { return float64(dists.At(m, n)) }
-	} else {
-		var mono numSBody
-		for ci, ch := range chunks {
-			var body numSBody
-			if _, err := src.expect(ki, kindNumS, &body); err != nil {
-				return err
-			}
-			if err := checkPairChunk(j, k, ci, ch, body.Rows, body.Lo, body.Hi, rows); err != nil {
-				return err
-			}
-			if err := appendNumChunk(&mono, &body, ch, rows, cols); err != nil {
-				return fmt.Errorf("party: %s pair (%s,%s) chunk %d: %w", k, j, k, ci, err)
-			}
-		}
-		switch tp.cfg.Variant {
-		case Float64Variant:
-			if mono.Float == nil {
-				return fmt.Errorf("party: missing float payload from %s", k)
-			}
-			dists, err := eng.NumericThirdPartyFloat(mono.Float, jt, tp.cfg.FloatParams, tp.cfg.Mode)
-			if err != nil {
-				return err
-			}
-			bRows, bCols = dists.Rows, dists.Cols
-			block = func(m, n int) float64 { return dists.At(m, n) }
-		case Int64Variant:
-			if mono.Int == nil {
-				return fmt.Errorf("party: missing int payload from %s", k)
-			}
-			dists, err := eng.NumericThirdPartyInt(mono.Int, jt, tp.cfg.IntParams, tp.cfg.Mode)
-			if err != nil {
-				return err
-			}
-			bRows, bCols = dists.Rows, dists.Cols
-			block = func(m, n int) float64 { return float64(dists.At(m, n)) }
-		case ModPVariant:
-			if mono.ModP == nil {
-				return fmt.Errorf("party: missing modp payload from %s", k)
-			}
-			dists, err := eng.NumericThirdPartyModP(mono.ModP, jt, tp.cfg.Mode)
-			if err != nil {
-				return err
-			}
-			bRows, bCols = dists.Rows, dists.Cols
-			block = func(m, n int) float64 { return float64(dists.At(m, n)) }
-		}
-	}
-	// A zero-row block (empty responder) carries no usable column count
-	// and is never consulted during assembly.
-	if bRows != rows || (bRows > 0 && bCols != cols) {
-		return fmt.Errorf("party: block (%s,%s) is %dx%d, census says %dx%d", j, k, bRows, bCols, rows, cols)
-	}
-	return asm.SetCross(ji, ki, block)
-}
-
-// appendNumChunk concatenates one numeric chunk's sub-matrix onto the
-// reassembled monolithic payload, enforcing a consistent variant and the
-// census column count across the chunks of one pair. totalRows and
-// censusCols (both census-derived) presize the reassembled cell storage
-// on the first chunk, so the multi-append reassembly copies each cell
-// once instead of re-growing a multi-megabyte payload log-many times; the
-// column check runs before the presize, so a hostile chunk's
-// self-declared Cols can only produce the shape error — never a
-// rows-amplified allocation.
-func appendNumChunk(mono, chunk *numSBody, ch [2]int, totalRows, censusCols int) error {
-	wantRows := ch[1] - ch[0]
-	grow := func(validate func() error, chunkRows, chunkCols int, monoCols *int) error {
-		if err := validate(); err != nil {
-			return err
-		}
-		if chunkRows != wantRows {
-			return fmt.Errorf("carries %d rows, want %d", chunkRows, wantRows)
-		}
-		// A zero-row chunk (empty responder) carries no usable column
-		// count, matching the monolithic path's census-check exemption.
-		if chunkRows > 0 && chunkCols != censusCols {
-			return fmt.Errorf("has %d columns, census says %d", chunkCols, censusCols)
-		}
-		*monoCols = chunkCols
-		return nil
-	}
-	switch {
-	case chunk.Float != nil:
-		if mono.Int != nil || mono.ModP != nil {
-			return fmt.Errorf("mixes numeric variants across chunks")
-		}
-		first := mono.Float == nil
-		if first {
-			mono.Float = &protocol.Float64Matrix{}
-		}
-		if err := grow(chunk.Float.Validate, chunk.Float.Rows, chunk.Float.Cols, &mono.Float.Cols); err != nil {
-			return err
-		}
-		if first {
-			mono.Float.Cell = make([]float64, 0, totalRows*mono.Float.Cols)
-		}
-		mono.Float.Cell = append(mono.Float.Cell, chunk.Float.Cell...)
-		mono.Float.Rows += chunk.Float.Rows
-	case chunk.Int != nil:
-		if mono.Float != nil || mono.ModP != nil {
-			return fmt.Errorf("mixes numeric variants across chunks")
-		}
-		first := mono.Int == nil
-		if first {
-			mono.Int = &protocol.Int64Matrix{}
-		}
-		if err := grow(chunk.Int.Validate, chunk.Int.Rows, chunk.Int.Cols, &mono.Int.Cols); err != nil {
-			return err
-		}
-		if first {
-			mono.Int.Cell = make([]int64, 0, totalRows*mono.Int.Cols)
-		}
-		mono.Int.Cell = append(mono.Int.Cell, chunk.Int.Cell...)
-		mono.Int.Rows += chunk.Int.Rows
-	case chunk.ModP != nil:
-		if mono.Float != nil || mono.Int != nil {
-			return fmt.Errorf("mixes numeric variants across chunks")
-		}
-		first := mono.ModP == nil
-		if first {
-			mono.ModP = &protocol.ElementMatrix{}
-		}
-		if err := grow(chunk.ModP.Validate, chunk.ModP.Rows, chunk.ModP.Cols, &mono.ModP.Cols); err != nil {
-			return err
-		}
-		if first {
-			mono.ModP.Cell = make([][32]byte, 0, totalRows*mono.ModP.Cols)
-		}
-		mono.ModP.Cell = append(mono.ModP.Cell, chunk.ModP.Cell...)
-		mono.ModP.Rows += chunk.ModP.Rows
-	default:
-		return fmt.Errorf("carries no payload")
 	}
 	return nil
 }

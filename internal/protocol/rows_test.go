@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ppclust/internal/alphabet"
-	"ppclust/internal/dissim"
 	"ppclust/internal/rng"
 )
 
@@ -314,46 +313,5 @@ func TestThirdPartyRowsShapeValidation(t *testing.T) {
 	}
 	if _, err := e.AlphaThirdPartyRows(make([][]*SymbolMatrix, 2), 0, 1, alphabet.DNA, jt); err == nil {
 		t.Fatal("alpha short chunk accepted")
-	}
-}
-
-// TestResumePoint pins the schedule-repositioning helper against
-// hand-checked watermarks and, property-style, against every prefix of
-// real RowChunks schedules.
-func TestResumePoint(t *testing.T) {
-	chunks := [][2]int{{0, 3}, {3, 5}, {5, 9}}
-	for _, tc := range []struct {
-		installed, wantIdx, wantRow int
-	}{
-		{0, 0, 0},  // nothing landed: restart at the first chunk
-		{3, 1, 3},  // exactly one chunk installed
-		{4, 1, 4},  // coarse watermark mid-chunk: same chunk, row advanced
-		{5, 2, 5},  // two chunks installed
-		{9, 3, 0},  // everything landed
-		{12, 3, 0}, // watermark beyond the schedule: nothing owed
-	} {
-		idx, row := ResumePoint(chunks, tc.installed)
-		if idx != tc.wantIdx || row != tc.wantRow {
-			t.Errorf("ResumePoint(installed=%d) = (%d,%d), want (%d,%d)",
-				tc.installed, idx, row, tc.wantIdx, tc.wantRow)
-		}
-	}
-	// An empty schedule ([0,0) chunk, zero-row party) owes nothing.
-	if idx, row := ResumePoint([][2]int{{0, 0}}, 0); idx != 1 || row != 0 {
-		t.Errorf("empty schedule: ResumePoint = (%d,%d), want (1,0)", idx, row)
-	}
-	// Property: for every chunk boundary of a real schedule, the resume
-	// point is the next chunk at its own lo.
-	sched := dissim.RowChunks(57, 64)
-	next := 0
-	for i, c := range sched {
-		idx, row := ResumePoint(sched, next)
-		if idx != i || row != c[0] {
-			t.Fatalf("boundary %d: ResumePoint = (%d,%d), want (%d,%d)", next, idx, row, i, c[0])
-		}
-		next = c[1]
-	}
-	if idx, _ := ResumePoint(sched, next); idx != len(sched) {
-		t.Fatalf("full schedule: ResumePoint idx = %d, want %d", idx, len(sched))
 	}
 }
