@@ -109,7 +109,7 @@ type benchResult struct {
 // holder→TP lane flaps mid-stream and recovers through watermarked replay.
 // Since PR 10 the session-shardproc family prices the cross-process worker
 // protocol: the same sharded session with its K shard pipelines behind
-// real localhost TCP links (v4 shard registration, AES-GCM worker
+// real localhost TCP links (shard-registration hello, AES-GCM worker
 // channels) served by in-process shard workers, against the in-process
 // sharded rows as the overhead baseline.
 func benchFamilies() []struct {
@@ -373,8 +373,8 @@ func benchFamilies() []struct {
 			link := func(c wire.Conduit) wire.Conduit {
 				return wire.Link(c, time.Millisecond, 0, 64<<20, linkSeed.Add(1))
 			}
-			mgr.Submit(netid.Hello{Name: "A", Session: id, Version: netid.Version}, link(tA), nil)
-			mgr.Submit(netid.Hello{Name: "B", Session: id, Version: netid.Version}, link(tB), nil)
+			mgr.Submit(netid.Hello{Name: "A", Session: id, Version: netid.Version}, link(tA), discardReplies{})
+			mgr.Submit(netid.Hello{Name: "B", Session: id, Version: netid.Version}, link(tB), discardReplies{})
 			errs := make(chan error, 2)
 			run := func(name, peer string, tp, hh wire.Conduit) {
 				h, err := party.NewHolder(name, tables[name], mtHolders, scfg, party.ClusterRequest{K: 2},
@@ -473,7 +473,7 @@ func benchFamilies() []struct {
 	// session-shardproc: the session-sharded workload with its K shard
 	// pipelines running behind the cross-process worker protocol — the
 	// coordinator dials each shard over real localhost TCP, registers
-	// with the v4 shard hello and relays holder frames over an AES-GCM
+	// with the shard-registration hello and relays holder frames over an AES-GCM
 	// worker channel. The workers are in-process party.ShardServers, so
 	// the rows price the control protocol and the extra encrypt/relay
 	// hop, not subprocess spawn noise. Holder-visible lanes carry the
@@ -672,3 +672,11 @@ func runBenchJSON(w io.Writer, path string) error {
 	fmt.Fprintf(w, "wrote %s\n", path)
 	return nil
 }
+
+// discardReplies is the Responder for the in-memory tenants: their
+// holders start at once over pipes, so grants and refusals go nowhere.
+type discardReplies struct{}
+
+func (discardReplies) Accept(int) error { return nil }
+
+func (discardReplies) Reject(netid.RejectCode, string) error { return nil }

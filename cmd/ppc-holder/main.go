@@ -14,20 +14,22 @@
 //	ppc-holder -name C -data c.csv -tp tp:9000 \
 //	    -holders A,B,C -peers A=hostA:9001,B=hostB:9002 -schema ...
 //
-// Against a multi-tenant third party, add -session to name the tenant
-// session: the holder sends the versioned hello, waits for the typed
-// admission response, and exits with code 5 when the server refuses
-// (retrying first, with capped exponential backoff, when the refusal is
-// retryable — e.g. the server is draining). The routing admission carries
-// the server's TP shard count: when the third party is sharded (ppc-tp
-// -shards K), the holder automatically dials one extra connection per
-// shard lane — no holder-side flag. All dials retry transient failures
+// Every connection opens with the netid hello and waits for its grant or
+// typed refusal. -session names the tenant session on a multi-tenant third
+// party (empty names the default session); the holder exits with code 5
+// when the server refuses (retrying first, with capped exponential
+// backoff, when the refusal is retryable — e.g. the server is draining).
+// The grant carries the server's TP shard count: when the third party is
+// sharded (ppc-tp -shards K), the holder automatically dials one extra
+// connection per shard lane — no holder-side flag. A holder accepting a
+// peer on -listen answers the same hello, refusing an unexpected or
+// duplicate peer with a typed reject. All dials retry transient failures
 // under -connect-retries / -connect-backoff.
 //
-// With -reconnect-window (and -session), a severed third-party connection
-// mid-session no longer kills the run: the holder redials the server under
-// the same -connect-retries / -connect-backoff policy, performs the
-// version-3 resume handshake, and the session continues bit-identically
+// With -reconnect-window, a severed third-party connection mid-session no
+// longer kills the run: the holder redials the server under the same
+// -connect-retries / -connect-backoff policy, performs the resume
+// handshake, and the session continues bit-identically
 // after a watermarked replay. The window must match the server's
 // (ppc-tp -reconnect-window). An unrecoverable sever exits with code 6.
 package main
@@ -53,9 +55,9 @@ import (
 )
 
 // handshakeTimeout bounds the netid preamble in both directions: how long
-// we wait for a dialed peer to take our name announcement, and how long a
-// connection accepted on -listen may take to announce its own. A silent
-// peer fails the handshake instead of hanging the session setup.
+// we wait for a dialed peer to take our hello and answer it, and how long
+// a connection accepted on -listen may take to send its own. A silent peer
+// fails the handshake instead of hanging the session setup.
 const handshakeTimeout = 10 * time.Second
 
 // maxAcceptRetries and acceptBackoff mirror ppc-tp's accept loop: a
@@ -65,8 +67,8 @@ const maxAcceptRetries = 10
 
 const acceptBackoff = 100 * time.Millisecond
 
-// admissionTimeout bounds the wait for the multi-tenant server's admission
-// response. The accept is deferred until the whole session has gathered,
+// admissionTimeout bounds the wait for the third party's grant. An
+// unsharded server grants only once the whole session has gathered,
 // so this must outlast the server's gather window (default 2m), not just a
 // round trip.
 const admissionTimeout = 5 * time.Minute
@@ -131,10 +133,10 @@ func run() error {
 	variant := flag.String("variant", "float64", "numeric arithmetic: float64, int64 or modp")
 	sessionTimeout := flag.Duration("session-timeout", 0, "bound on the whole session (0 = unbounded)")
 	phaseTimeout := flag.Duration("phase-timeout", 2*time.Minute, "watchdog bound on session inactivity (0 = disabled)")
-	session := flag.String("session", "", "session ID for a multi-tenant third party (empty = legacy single-session hello)")
+	session := flag.String("session", "", "session ID for a multi-tenant third party (empty = the default session)")
 	connectRetries := flag.Int("connect-retries", 5, "connect attempts per target before giving up")
 	connectBackoff := flag.Duration("connect-backoff", 200*time.Millisecond, "initial connect backoff (doubles per attempt, capped, jittered)")
-	reconnectWindow := flag.Duration("reconnect-window", 0, "grace period to redial the third party after a mid-session sever (0 = disabled; requires -session, must match the server's)")
+	reconnectWindow := flag.Duration("reconnect-window", 0, "grace period to redial the third party after a mid-session sever (0 = disabled; must match the server's)")
 	flag.Parse()
 
 	holders := splitNonEmpty(*holdersFlag)
@@ -170,9 +172,6 @@ func run() error {
 	opts.SessionTimeout = *sessionTimeout
 	opts.PhaseTimeout = *phaseTimeout
 	opts.ReconnectWindow = *reconnectWindow
-	if *reconnectWindow > 0 && *session == "" {
-		return fmt.Errorf("-reconnect-window requires -session: only the multi-tenant server routes resume hellos")
-	}
 
 	f, err := os.Open(*dataPath)
 	if err != nil {
@@ -210,14 +209,14 @@ func run() error {
 		rnd:     mrand.New(mrand.NewSource(time.Now().UnixNano())),
 	}
 
-	// Dial the third party. With -session the versioned hello names the
-	// tenant session and the routing admission is awaited — a typed
-	// refusal (capacity, budget, version skew, …) surfaces here instead of
-	// a hang or a dead socket mid-protocol, and the accept carries the
-	// session's TP shard count. Retryable refusals (server draining)
-	// re-dial under the same backoff as connect failures.
+	// Dial the third party. The hello names the tenant session and the
+	// grant is awaited — a typed refusal (capacity, budget, version skew,
+	// …) surfaces here instead of a hang or a dead socket mid-protocol,
+	// and the grant carries the session's TP shard count. Retryable
+	// refusals (server draining) re-dial under the same backoff as connect
+	// failures.
 	tpShards := 1
-	tpConn, err := d.dial("third party", *tpAddr, tpHandshake(*name, *session, &tpShards))
+	tpConn, err := d.dial("third party", *tpAddr, handshake(*name, *session, 0, admissionTimeout, &tpShards))
 	if err != nil {
 		return fmt.Errorf("dialing third party: %w", err)
 	}
@@ -229,7 +228,7 @@ func run() error {
 		log.Printf("third party shards the session %d ways; dialing shard lanes", tpShards)
 		for s := 0; s < tpShards; s++ {
 			shardConn, err := d.dial(fmt.Sprintf("third party shard %d", s), *tpAddr,
-				shardHandshake(*name, *session, s))
+				handshake(*name, *session, s+1, admissionTimeout, nil))
 			if err != nil {
 				return fmt.Errorf("dialing third party shard %d: %w", s, err)
 			}
@@ -248,9 +247,7 @@ func run() error {
 			if !ok {
 				return fmt.Errorf("no -peers address for lower-named holder %s", h)
 			}
-			c, err := d.dial("peer "+h, addr, func(c net.Conn) error {
-				return netid.AnnounceWithin(c, *name, handshakeTimeout)
-			})
+			c, err := d.dial("peer "+h, addr, handshake(*name, *session, 0, handshakeTimeout, nil))
 			if err != nil {
 				return fmt.Errorf("dialing peer %s: %w", h, err)
 			}
@@ -284,9 +281,9 @@ func run() error {
 				continue
 			}
 			retries = 0
-			peer, err := netid.AcceptWithin(c, handshakeTimeout)
-			if err != nil || !contains(expectHigher, peer) || conns[peer] != nil {
-				log.Printf("rejecting connection (%v, peer %q)", err, peer)
+			peer, err := admitPeer(c, *session, expectHigher, conns)
+			if err != nil {
+				log.Printf("rejecting connection from %s: %v", c.RemoteAddr(), err)
 				c.Close()
 				continue
 			}
@@ -328,39 +325,53 @@ func run() error {
 	return nil
 }
 
-// tpHandshake announces to the third party: the versioned session hello
-// followed by the routing-admission wait when a session ID is set — the
-// accept carries the session's TP shard count, written to *shards — and
-// the legacy name-only preamble otherwise.
-func tpHandshake(name, session string, shards *int) func(net.Conn) error {
+// handshake sends a join hello on lane (0 for a control or peer
+// connection, s+1 for TP shard s) and waits up to patience for the grant,
+// writing its shard count to *shards when shards is non-nil.
+func handshake(name, session string, lane int, patience time.Duration, shards *int) func(net.Conn) error {
 	return func(c net.Conn) error {
-		if session == "" {
-			return netid.AnnounceWithin(c, name, handshakeTimeout)
-		}
-		if err := netid.AnnounceSessionShardWithin(c, name, session, -1, handshakeTimeout); err != nil {
+		if err := netid.SendHello(c, netid.Hello{Name: name, Session: session, Lane: lane}, handshakeTimeout); err != nil {
 			return err
 		}
-		k, err := netid.AwaitAdmissionRouting(c, admissionTimeout)
-		if err != nil {
-			return err
+		g, err := netid.AwaitGrant(c, patience)
+		if err == nil && shards != nil {
+			*shards = g.Shards
 		}
-		if shards != nil {
-			*shards = k
-		}
-		return nil
+		return err
 	}
 }
 
-// shardHandshake announces one shard-lane connection: the versioned hello
-// carrying the lane index, then the routing-admission wait.
-func shardHandshake(name, session string, shard int) func(net.Conn) error {
-	return func(c net.Conn) error {
-		if err := netid.AnnounceSessionShardWithin(c, name, session, shard, handshakeTimeout); err != nil {
-			return err
-		}
-		_, err := netid.AwaitAdmissionRouting(c, admissionTimeout)
-		return err
+// admitPeer reads a higher-named peer's hello on an accepted connection
+// and answers it: a grant for an expected peer of this session not yet
+// connected, a typed refusal otherwise.
+func admitPeer(c net.Conn, session string, expect []string, conns map[string]net.Conn) (string, error) {
+	hello, err := netid.ReadHello(c, handshakeTimeout)
+	if err != nil {
+		return "", err
 	}
+	refuse := func(code netid.RejectCode, detail string) (string, error) {
+		// Best effort: the caller closes the connection either way.
+		_ = c.SetWriteDeadline(time.Now().Add(handshakeTimeout))
+		_ = netid.SendReject(c, code, detail)
+		return "", &netid.RejectedError{Code: code, Detail: detail}
+	}
+	switch {
+	case hello.Version != netid.Version || hello.Purpose != netid.PurposeJoin:
+		return refuse(netid.RejectVersion, fmt.Sprintf("holders accept only the version-%d join hello", netid.Version))
+	case hello.Session != session || hello.Lane != 0:
+		return refuse(netid.RejectSession, fmt.Sprintf("expected session %q on lane 0", session))
+	case !contains(expect, hello.Name):
+		return refuse(netid.RejectUnknownHolder, fmt.Sprintf("holder %q is not expected to dial here", hello.Name))
+	case conns[hello.Name] != nil:
+		return refuse(netid.RejectDuplicateHolder, fmt.Sprintf("holder %q is already connected", hello.Name))
+	}
+	if err := c.SetWriteDeadline(time.Now().Add(handshakeTimeout)); err != nil {
+		return "", err
+	}
+	if err := netid.SendGrant(c, netid.Grant{Shards: 1}); err != nil {
+		return "", err
+	}
+	return hello.Name, c.SetWriteDeadline(time.Time{})
 }
 
 // dialer connects with capped exponential backoff and jitter, so a fleet

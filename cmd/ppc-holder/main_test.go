@@ -36,14 +36,14 @@ func admissionServer(t *testing.T, script []*netid.RejectedError) (addr string, 
 			served.Add(1)
 			go func(i int, conn net.Conn) {
 				defer conn.Close()
-				if _, err := netid.AcceptHelloWithin(conn, time.Second); err != nil {
+				if _, err := netid.ReadHello(conn, time.Second); err != nil {
 					return
 				}
 				if i < len(script) && script[i] != nil {
 					netid.SendReject(conn, script[i].Code, script[i].Detail)
 					return
 				}
-				netid.SendAcceptRouting(conn, 1)
+				netid.SendGrant(conn, netid.Grant{Shards: 1})
 				// Keep the accepted connection open until the dialer is done
 				// with it; closing immediately could race the accept read.
 				time.Sleep(50 * time.Millisecond)
@@ -74,12 +74,12 @@ func TestDialRetriesConnectFailuresThenSucceeds(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		if _, err := netid.AcceptHelloWithin(conn, time.Second); err == nil {
-			netid.SendAcceptRouting(conn, 1)
+		if _, err := netid.ReadHello(conn, time.Second); err == nil {
+			netid.SendGrant(conn, netid.Grant{Shards: 1})
 			time.Sleep(50 * time.Millisecond)
 		}
 	}()
-	conn, err := testDialer(10).dial("third party", addr, tpHandshake("A", "s1", nil))
+	conn, err := testDialer(10).dial("third party", addr, handshake("A", "s1", 0, admissionTimeout, nil))
 	if err != nil {
 		t.Fatalf("dial never recovered: %v", err)
 	}
@@ -94,7 +94,7 @@ func TestDialTypedRefusalIsFinal(t *testing.T) {
 		{Code: netid.RejectCapacity, Detail: "full"},
 		{Code: netid.RejectCapacity, Detail: "full"},
 	})
-	_, err := testDialer(5).dial("third party", addr, tpHandshake("A", "s1", nil))
+	_, err := testDialer(5).dial("third party", addr, handshake("A", "s1", 0, admissionTimeout, nil))
 	if err == nil {
 		t.Fatal("refused dial succeeded")
 	}
@@ -120,7 +120,7 @@ func TestDialRetryableRefusalRetries(t *testing.T) {
 		{Code: netid.RejectDraining, Detail: "draining"},
 		nil, // second attempt admitted
 	})
-	conn, err := testDialer(5).dial("third party", addr, tpHandshake("A", "s1", nil))
+	conn, err := testDialer(5).dial("third party", addr, handshake("A", "s1", 0, admissionTimeout, nil))
 	if err != nil {
 		t.Fatalf("dial did not survive a retryable refusal: %v", err)
 	}
@@ -137,7 +137,7 @@ func TestDialGivesUpAfterRetries(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close() // nothing listens: every dial fails
-	_, err = testDialer(3).dial("third party", addr, tpHandshake("A", "s1", nil))
+	_, err = testDialer(3).dial("third party", addr, handshake("A", "s1", 0, admissionTimeout, nil))
 	if err == nil {
 		t.Fatal("dial to a dead address succeeded")
 	}
@@ -172,38 +172,126 @@ func TestDelayCapAndJitter(t *testing.T) {
 	}
 }
 
-// TestLegacyHandshakeSendsNoSession: without -session the holder speaks
-// the legacy preamble and never waits for an admission frame.
-func TestLegacyHandshakeSendsNoSession(t *testing.T) {
+// serveTP starts a multi-tenant third party for holders A and B on a
+// localhost listener.
+func serveTP(t *testing.T, opts ppclust.Options, srvOpts ppclust.TPServerOptions) (string, *ppclust.TPServer) {
+	t.Helper()
+	schema, err := ppclust.ParseSchema("age:numeric")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvOpts.Logf = t.Logf
+	srv, err := ppclust.NewTPServer([]string{"A", "B"}, schema, opts, srvOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln, ppclust.TPServeConfig{}) }()
+	t.Cleanup(func() {
+		ln.Close()
+		srv.Close()
+		<-served
+	})
+	return ln.Addr().String(), srv
+}
+
+// TestDefaultSessionHandshakeIsAnswered: a holder without -session sends
+// the same hello for the default session and waits for its reply, so it
+// learns a sharded server's shard count and sees a saturated server's
+// typed refusal instead of a silent close.
+func TestDefaultSessionHandshakeIsAnswered(t *testing.T) {
+	sharded, _ := serveTP(t, ppclust.Options{TPShards: 2}, ppclust.TPServerOptions{})
+	shards := 0
+	conn, err := testDialer(1).dial("third party", sharded, handshake("A", "", 0, admissionTimeout, &shards))
+	if err != nil {
+		t.Fatalf("default-session dial to a sharded server: %v", err)
+	}
+	conn.Close()
+	if shards != 2 {
+		t.Fatalf("learned %d shards, want 2", shards)
+	}
+
+	// One gathering session fills the only slot; the default session is
+	// refused with the capacity reason.
+	saturated, srv := serveTP(t, ppclust.Options{}, ppclust.TPServerOptions{MaxSessions: 1})
+	busy, err := net.Dial("tcp", saturated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	if err := netid.SendHello(busy, netid.Hello{Name: "A", Session: "busy"}, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); srv.Metrics().Active() != 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("the busy session never started gathering")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	_, err = testDialer(1).dial("third party", saturated, handshake("B", "", 0, admissionTimeout, nil))
+	var rej *netid.RejectedError
+	if !errors.As(err, &rej) || rej.Code != netid.RejectCapacity {
+		t.Fatalf("default-session dial to a saturated server: %v, want capacity refusal", err)
+	}
+}
+
+// TestPeerHelloIsAnswered: the accepting holder grants an expected peer
+// and refuses an unexpected or duplicate one with a typed reject, which
+// the dialing holder's handshake surfaces.
+func TestPeerHelloIsAnswered(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	got := make(chan netid.Hello, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		hello, err := netid.AcceptHelloWithin(conn, time.Second)
-		if err == nil {
-			got <- hello
-		}
-		// Deliberately send nothing back: legacy clients must not wait.
-	}()
-	conn, err := testDialer(1).dial("third party", ln.Addr().String(), tpHandshake("B", "", nil))
-	if err != nil {
-		t.Fatalf("legacy dial: %v", err)
+	conns := map[string]net.Conn{}
+	type outcome struct {
+		peer string
+		err  error
 	}
-	conn.Close()
-	select {
-	case hello := <-got:
-		if hello.Extended() || hello.Name != "B" {
-			t.Fatalf("legacy hello parsed as %+v", hello)
+	admitted := make(chan outcome, 1)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			peer, err := admitPeer(c, "s1", []string{"B", "C"}, conns)
+			if err == nil {
+				conns[peer] = c
+			} else {
+				c.Close()
+			}
+			admitted <- outcome{peer, err}
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("server never saw the hello")
+	}()
+	for _, tc := range []struct {
+		name, session string
+		want          netid.RejectCode
+	}{
+		{"B", "s1", 0},
+		{"B", "s1", netid.RejectDuplicateHolder},
+		{"Z", "s1", netid.RejectUnknownHolder},
+		{"C", "other", netid.RejectSession},
+	} {
+		c, err := testDialer(1).dial("peer A", ln.Addr().String(), handshake(tc.name, tc.session, 0, time.Second, nil))
+		out := <-admitted
+		var rej *netid.RejectedError
+		switch {
+		case tc.want == 0 && (err != nil || out.err != nil || out.peer != tc.name):
+			t.Fatalf("%s/%s: dial %v, admit %+v", tc.name, tc.session, err, out)
+		case tc.want != 0 && (!errors.As(err, &rej) || rej.Code != tc.want):
+			t.Fatalf("%s/%s: dial %v, want %v refusal", tc.name, tc.session, err, tc.want)
+		}
+		if c != nil {
+			c.Close()
+		}
+	}
+	for _, c := range conns {
+		c.Close()
 	}
 }

@@ -6,14 +6,15 @@
 // behaviour: serve exactly one session, print its report, exit. The
 // -shards flag splits each session's third party into K row-range shards
 // behind a merge coordinator — holders learn the shard count from the
-// routing admission and dial one extra connection per shard; reports are
+// grant that answers their hello and dial one extra connection per shard;
+// reports are
 // bit-identical to the single-TP path at every K. With -shard-addrs, the
 // shard pipelines run in external ppc-shard worker processes at the given
 // addresses instead of in-process goroutines; holders connect exactly the
 // same way, and a restarted worker heals its degraded sessions inside
 // -reconnect-window. With -reconnect-window,
 // a session whose holder lane is severed mid-run parks degraded for that
-// grace period and accepts the holder's version-3 resume redial instead of
+// grace period and accepts the holder's resume redial instead of
 // aborting; the sessions_degraded gauge and reconnects_accepted/_refused
 // counters on -debug-addr track the mechanism.
 //
@@ -91,7 +92,7 @@ func run() error {
 	shardAddrs := flag.String("shard-addrs", "", "comma-separated ppc-shard worker addresses, one per shard (empty = run shards in-process; requires -shards > 1)")
 	sessionTimeout := flag.Duration("session-timeout", 0, "bound on each tenant session (0 = unbounded)")
 	phaseTimeout := flag.Duration("phase-timeout", 2*time.Minute, "watchdog bound on per-session inactivity (0 = disabled)")
-	reconnectWindow := flag.Duration("reconnect-window", 0, "grace period a session with a severed holder lane waits degraded for a version-3 resume redial (0 = severs abort immediately; must match the holders')")
+	reconnectWindow := flag.Duration("reconnect-window", 0, "grace period a session with a severed holder lane waits degraded for a resume redial (0 = severs abort immediately; must match the holders')")
 	maxSessions := flag.Int("max-sessions", 4, "concurrently admitted tenant sessions")
 	queueDepth := flag.Int("queue-depth", 0, "sessions that may queue for a slot (0 = refuse when saturated)")
 	budgetBytes := flag.Int64("budget-bytes", 0, "global memory budget across sessions (0 = unbounded; requires -max-objects)")

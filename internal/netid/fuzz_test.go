@@ -2,23 +2,22 @@ package netid
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"net"
 	"testing"
 	"time"
 )
 
-// captureWrite runs one announce/send function against a net.Pipe and
-// returns the exact bytes it put on the wire, so the fuzz corpora are
-// seeded from the real writers rather than hand-maintained encodings.
-func captureWrite(f *testing.F, write func(c net.Conn) error) []byte {
+// captureHello returns the exact bytes SendHello puts on the wire for h,
+// so the corpus is seeded from the real writer rather than hand-maintained
+// encodings.
+func captureHello(f *testing.F, h Hello) []byte {
 	f.Helper()
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
 	done := make(chan error, 1)
-	go func() { done <- write(a) }()
+	go func() { done <- SendHello(a, h, time.Second) }()
 	buf := make([]byte, 4096)
 	b.SetReadDeadline(time.Now().Add(time.Second))
 	n, err := b.Read(buf)
@@ -31,24 +30,33 @@ func captureWrite(f *testing.F, write func(c net.Conn) error) []byte {
 	return buf[:n]
 }
 
-// FuzzParseHello exercises every hello form — legacy, v1 session, v2
-// sharded, v3 resume, v4 shard registration, and claimed-future versions —
-// against arbitrary byte streams: the parser must never panic, and a hello
-// it accepts must satisfy the documented field bounds and version
-// classification invariants.
+// FuzzParseHello feeds arbitrary bytes to the hello decoder, seeded from
+// every purpose and from foreign versions: the parser must never panic,
+// and a hello it accepts must satisfy the field bounds and classify as
+// exactly one purpose.
 func FuzzParseHello(f *testing.F) {
-	f.Add(captureWrite(f, func(c net.Conn) error { return Announce(c, "HolderA") }))
-	f.Add(captureWrite(f, func(c net.Conn) error { return AnnounceSession(c, "HolderA", "tenant-7") }))
-	f.Add(captureWrite(f, func(c net.Conn) error { return AnnounceSession(c, "B", "") }))
-	f.Add(captureWrite(f, func(c net.Conn) error { return AnnounceSessionShard(c, "HolderA", "tenant-7", -1) }))
-	f.Add(captureWrite(f, func(c net.Conn) error { return AnnounceSessionShard(c, "HolderA", "tenant-7", 3) }))
-	f.Add(captureWrite(f, func(c net.Conn) error { return AnnounceResume(c, "HolderB", "tenant-9", 2, 5, 1234, 99) }))
-	f.Add(captureWrite(f, func(c net.Conn) error { return AnnounceShardRegistration(c, "TP", "tenant-3", 2, 7, 41, 8) }))
-	f.Add([]byte{magicExtended, 5, 1, 'H', 1, 's'}) // claimed-future version
-	f.Add([]byte{magicExtended, 0, 1, 'H'})         // invalid version 0
+	for _, h := range []Hello{
+		{Name: "HolderA"},
+		{Name: "HolderA", Session: "tenant-7"},
+		{Name: "HolderA", Session: "tenant-7", Lane: 4},
+		{Name: "HolderB", Session: "tenant-9", Purpose: PurposeResume, Lane: 3, Epoch: 5, Sent: 1234, Recv: 99},
+		{Name: "HolderB", Purpose: PurposeResume, Epoch: 1, Sent: 7, Recv: 7},
+		{Name: "TP", Session: "tenant-3", Purpose: PurposeRegister, Lane: 3, Epoch: 7, Sent: 41, Recv: 8},
+	} {
+		f.Add(captureHello(f, h))
+	}
+	f.Add([]byte{magic, 4, 1, 'H', 1, 's', 3})      // an older build's version 4
+	f.Add([]byte{magic, Version + 1, 0, 1, 'H', 0}) // a newer build
+	f.Add([]byte{7, 'H', 'o', 'l', 'd', 'e', 'r'})  // name-only, no magic
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, err := ParseHello(bytes.NewReader(data))
+		h, err := parseHello(bytes.NewReader(data))
 		if err != nil {
+			return
+		}
+		if h.Version != Version {
+			if h != (Hello{Version: h.Version}) {
+				t.Fatalf("foreign version carries fields: %+v", h)
+			}
 			return
 		}
 		if h.Name == "" || len(h.Name) > maxName {
@@ -57,11 +65,8 @@ func FuzzParseHello(f *testing.F) {
 		if len(h.Session) > maxSession {
 			t.Fatalf("accepted session of %d bytes", len(h.Session))
 		}
-		if h.Version == 0 && (h.Session != "" || h.Lane != 0 || h.Epoch != 0 || h.Sent != 0 || h.Recv != 0) {
-			t.Fatalf("legacy hello carries extended fields: %+v", h)
-		}
-		if h.Version < VersionSharded && h.Lane != 0 {
-			t.Fatalf("version %d hello carries lane %d", h.Version, h.Lane)
+		if h.Lane < 0 || h.Lane > MaxShards || h.Purpose > PurposeRegister {
+			t.Fatalf("accepted lane %d purpose %d", h.Lane, h.Purpose)
 		}
 		if h.Resume() && h.ShardRegistration() {
 			t.Fatalf("hello classifies as both resume and registration: %+v", h)
@@ -69,28 +74,39 @@ func FuzzParseHello(f *testing.F) {
 	})
 }
 
-// FuzzParseReject exercises the ppc/reject frame parser: it must never
-// panic, and a frame it accepts must decode to a RejectedError within the
-// detail bound.
+// FuzzParseReject feeds arbitrary bytes to the hello-reply decoder, seeded
+// from real grants and reject frames: it must never panic, an accepted
+// grant must round-trip through SendGrant, and a typed refusal must stay
+// within the detail bound and classify under ErrRejected.
 func FuzzParseReject(f *testing.F) {
-	for _, seed := range []struct {
-		code   RejectCode
-		detail string
-	}{
-		{RejectQueueFull, "3 sessions active, queue of 2 full"},
-		{RejectDraining, ""},
-		{RejectResume, "watermark behind installed rows"},
+	for _, write := range []func(*bytes.Buffer) error{
+		func(b *bytes.Buffer) error { return SendGrant(b, Grant{Shards: 1}) },
+		func(b *bytes.Buffer) error { return SendGrant(b, Grant{Shards: 3, Sent: 4321, Recv: 17}) },
+		func(b *bytes.Buffer) error {
+			return SendReject(b, RejectQueueFull, "3 sessions active, queue of 2 full")
+		},
+		func(b *bytes.Buffer) error { return SendReject(b, RejectDraining, "") },
+		func(b *bytes.Buffer) error { return SendReject(b, RejectResume, "watermark behind installed rows") },
 	} {
-		raw := captureWrite(f, func(c net.Conn) error { return SendReject(c, seed.code, seed.detail) })
-		// SendReject's wire form starts with the status byte; parseReject
-		// begins after it.
-		f.Add(raw[1:])
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
 	}
-	f.Add([]byte{byte(RejectVersion), 0xFF, 0xFF}) // oversized detail length
+	f.Add([]byte{statusReject, byte(RejectVersion), 0xFF, 0xFF}) // oversized detail length
+	f.Add([]byte{statusGrant, 0})                                // zero shards, truncated
 	f.Fuzz(func(t *testing.T, data []byte) {
-		err := parseReject(bytes.NewReader(data))
+		g, err := parseGrant(bytes.NewReader(data))
 		if err == nil {
-			t.Fatal("parseReject returned nil error")
+			var buf bytes.Buffer
+			if err := SendGrant(&buf, g); err != nil {
+				t.Fatalf("accepted grant %+v is unwritable: %v", g, err)
+			}
+			if !bytes.Equal(buf.Bytes(), data[:buf.Len()]) {
+				t.Fatalf("grant %+v does not round-trip", g)
+			}
+			return
 		}
 		var re *RejectedError
 		if !errors.As(err, &re) {
@@ -101,26 +117,6 @@ func FuzzParseReject(f *testing.F) {
 		}
 		if len(re.Detail) > maxRejectDetail {
 			t.Fatalf("accepted detail of %d bytes", len(re.Detail))
-		}
-	})
-}
-
-// FuzzParseResumeGrant exercises the grant watermark parser: it must never
-// panic, and an accepted body must round-trip through the writer.
-func FuzzParseResumeGrant(f *testing.F) {
-	raw := captureWrite(f, func(c net.Conn) error { return SendAcceptResume(c, 4321, 17) })
-	f.Add(raw[1:]) // strip the status byte, as AwaitResumeGrant does
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		sent, recv, err := parseResumeGrant(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf [16]byte
-		binary.BigEndian.PutUint64(buf[0:8], sent)
-		binary.BigEndian.PutUint64(buf[8:16], recv)
-		if !bytes.Equal(buf[:], data[:16]) {
-			t.Fatalf("grant (%d, %d) does not round-trip", sent, recv)
 		}
 	})
 }

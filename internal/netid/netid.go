@@ -1,18 +1,18 @@
-// Package netid is the tiny connection-labeling preamble the TCP
-// deployment tools use: the dialing party announces its protocol name
-// before the session handshake so the acceptor can route the connection.
+// Package netid is the connection preamble of the TCP deployment: before
+// the session handshake, the dialing party says who it is, for which
+// session, on which lane and for what purpose, and the acceptor answers
+// on the same connection with a grant or a typed refusal.
 //
-// Two hello forms share the wire. The legacy hello — one length byte, then
-// the party name — is what single-session deployments have always sent. The
-// extended hello adds a protocol version and a session ID, so a multi-tenant
-// third-party server can route many concurrent sessions on one listener;
-// holders announcing the same session ID are matched into one session. An
-// acceptor that speaks the extension answers every extended hello with an
-// admission response: a one-byte accept, or a typed reject frame
-// ("ppc/reject" in docs/WIRE.md) naming why the connection was refused —
-// capacity, queue overflow, budget, drain, version skew. Legacy hellos get
-// no response, which is what keeps old holders working against both old and
-// new acceptors (see the compatibility notes in docs/WIRE.md).
+// There is one hello and one grant (docs/WIRE.md, "Connection preamble
+// and admission"), with every field always present, big-endian:
+//
+//	hello  [0xFF][Version][purpose][len][name][len][session][lane][epoch u32][sent u64][recv u64]
+//	grant  [0x00][shards u8][sent u64][recv u64]
+//	reject [0x01][code u8][len u16][detail]
+//
+// Every hello is answered. A hello whose version byte is not Version is
+// parsed only through that byte, so the acceptor refuses it by number
+// (RejectVersion) instead of guessing at a layout it does not know.
 package netid
 
 import (
@@ -22,6 +22,7 @@ import (
 	"io"
 	"net"
 	"time"
+	"unicode/utf8"
 )
 
 // maxName bounds announced names.
@@ -30,409 +31,298 @@ const maxName = 64
 // maxSession bounds announced session IDs.
 const maxSession = 64
 
-// Version is the baseline extended-hello protocol version. An acceptor
-// refuses hellos from the future (RejectVersion) rather than guessing at
-// their layout.
-const Version = 1
+// Version is the only preamble version. Earlier builds sent versions 1–4
+// behind the same magic byte; none of them sends 5, so every acceptor
+// refuses them by number.
+const Version = 5
 
-// VersionSharded is the extended-hello version that adds a one-byte shard
-// lane to the preamble, so a sharded third-party server can route a
-// holder's control connection and its K shard connections on one
-// listener. Version-2 hellos are answered with a routing admission
-// (SendAcceptRouting) that carries the session's shard count.
-const VersionSharded = 2
-
-// VersionResume is the extended-hello version a holder sends when
-// re-dialing a severed conduit of a live session: the version-2 fields
-// plus a proposed transport epoch and the holder's per-lane frame
-// watermarks (frames sent / frames received on the dead conduit). The
-// acceptor matches it to the degraded session and answers with a resume
-// grant (SendAcceptResume) carrying its own watermarks, so both ends
-// replay exactly the frames the other never installed. Version-3 hellos
-// never create sessions; v0–v2 admission is unchanged.
-const VersionResume = 3
-
-// VersionShardProc is the hello version a shard worker process accepts
-// from its coordinator: the version-3 layout reinterpreted as a shard
-// registration. The lane byte carries the shard index the coordinator is
-// assigning (shard s as s+1, like every lane byte), and the watermark
-// fields carry the coordinator's frame counters for the link — zero on a
-// first registration, the live counters on a re-registration after the
-// link (or the worker) died. The worker answers with a resume grant
-// (SendAcceptResume) carrying its own counters: (0, 0) from a freshly
-// started process, so the coordinator replays the full cached stream.
-// Version-4 hellos are never valid at the third-party server itself —
-// holders don't send them and the server refuses unknown-from-the-future
-// versions — they exist only on coordinator↔shard links.
-const VersionShardProc = 4
-
-// MaxShards bounds the shard index a version-2 hello can carry (the lane
-// byte reserves 0x00 for the control connection).
+// MaxShards bounds the lane byte: lane 0 is the control connection (or,
+// on a shard-worker link, invalid), lane s+1 the conduit to shard s.
 const MaxShards = 254
 
-// magicExtended marks an extended hello. It is deliberately an invalid
-// legacy name length (> maxName), so a legacy acceptor that receives an
-// extended hello fails the preamble with its usual descriptive error
-// instead of misreading the frame.
-const magicExtended = 0xFF
+// magic opens every hello.
+const magic = 0xFF
 
-// Admission response status bytes.
+// Reply status bytes.
 const (
-	statusAccept = 0x00
+	statusGrant  = 0x00
 	statusReject = 0x01
 )
 
 // maxRejectDetail bounds the free-text detail of a reject frame.
 const maxRejectDetail = 512
 
-// Announce writes the caller's party name on a fresh connection.
-func Announce(conn net.Conn, name string) error {
-	if name == "" || len(name) > maxName {
-		return fmt.Errorf("netid: invalid name %q", name)
-	}
-	buf := append([]byte{byte(len(name))}, name...)
-	_, err := conn.Write(buf)
-	return err
-}
+// Purpose says what a hello asks for. The zero value is a join.
+type Purpose byte
 
-// Accept reads the peer's announced name from a fresh connection.
-func Accept(conn net.Conn) (string, error) {
-	var l [1]byte
-	if _, err := io.ReadFull(conn, l[:]); err != nil {
-		return "", fmt.Errorf("netid: reading name length: %w", err)
-	}
-	if l[0] == 0 || int(l[0]) > maxName {
-		return "", fmt.Errorf("netid: invalid name length %d", l[0])
-	}
-	name := make([]byte, l[0])
-	if _, err := io.ReadFull(conn, name); err != nil {
-		return "", fmt.Errorf("netid: reading name: %w", err)
-	}
-	return string(name), nil
-}
+const (
+	// PurposeJoin joins a session as a holder: a holder's control or
+	// shard lane at the third party, or a peer holder's mesh link.
+	PurposeJoin Purpose = iota
+	// PurposeResume re-dials a severed lane of a live session. Epoch is
+	// the transport epoch the dialer proposes for the rebound conduit —
+	// strictly greater than every epoch the lane has used — and Sent/Recv
+	// are its frame watermarks on the dead conduit.
+	PurposeResume
+	// PurposeRegister registers a coordinator with a shard worker process.
+	// Lane carries the assigned shard as shard+1 and Epoch/Sent/Recv the
+	// coordinator's link state (zero on first contact). Only shard workers
+	// accept it.
+	PurposeRegister
+)
 
-// AnnounceWithin is Announce under a write deadline: a peer that accepts
-// the connection but never drains the socket cannot wedge session setup.
-// The deadline is cleared before returning so the session owns the
-// connection's timeout policy afterwards.
-func AnnounceWithin(conn net.Conn, name string, timeout time.Duration) error {
-	if err := conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
-		return err
-	}
-	if err := Announce(conn, name); err != nil {
-		return err
-	}
-	return conn.SetWriteDeadline(time.Time{})
-}
-
-// AcceptWithin is Accept under a read deadline: a client that connects
-// and goes silent fails the preamble instead of blocking the accept loop
-// forever. The deadline is cleared before returning.
-func AcceptWithin(conn net.Conn, timeout time.Duration) (string, error) {
-	if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-		return "", err
-	}
-	name, err := Accept(conn)
-	if err != nil {
-		return "", err
-	}
-	if err := conn.SetReadDeadline(time.Time{}); err != nil {
-		return "", err
-	}
-	return name, nil
-}
-
-// Hello is a parsed connection preamble. Version 0 with an empty Session
-// is a legacy single-session hello; extended hellos carry the dialer's
-// protocol version and session ID (the empty session ID names the default
-// session, so a versioned hello without -session routes exactly like a
-// legacy one).
+// Hello is a parsed connection preamble. The zero Purpose and Lane make a
+// hand-built Hello{Name, Session, Version: Version} a control-lane join.
 type Hello struct {
 	Name    string
-	Session string
+	Session string // "" names the default session
 	Version int
-	// Lane is the TP conduit lane a version-2 hello announces, in wire
-	// form: 0 for the control connection (and for every version-0/1
-	// hello, which predate lanes), s+1 for the conduit to TP shard s.
-	// The zero value is the control lane, so hand-built hellos route like
-	// legacy ones.
-	Lane int
-	// Epoch is the transport epoch a version-3 resume hello proposes for
-	// the rebound conduit — strictly greater than every epoch the lane has
-	// used, so both ends agree which transport instance carries the replay
-	// (and derive a fresh channel key from it).
+	Purpose Purpose
+	// Lane is the conduit lane in wire form: 0 for the control connection,
+	// s+1 for the conduit to TP shard s.
+	Lane  int
 	Epoch uint32
-	// Sent and Recv are the dialer's frame watermarks for the severed lane:
-	// how many frames it had sent on, and received from, the dead conduit.
-	// Version-3 only.
-	Sent uint64
-	Recv uint64
+	Sent  uint64
+	Recv  uint64
 }
-
-// Extended reports whether the hello used the extended form — only then
-// does the dialer await an admission response.
-func (h Hello) Extended() bool { return h.Version > 0 }
 
 // Resume reports whether the hello asks to resume a severed lane of a live
 // session rather than join a new one.
-func (h Hello) Resume() bool { return h.Version == VersionResume }
+func (h Hello) Resume() bool { return h.Purpose == PurposeResume }
 
 // ShardRegistration reports whether the hello is a coordinator registering
-// (or re-registering) with a shard worker process rather than a holder
-// joining or resuming a session. The Lane field carries the assigned shard
-// as shard+1; Epoch/Sent/Recv carry the coordinator's link state.
-func (h Hello) ShardRegistration() bool { return h.Version == VersionShardProc }
+// (or re-registering) with a shard worker process.
+func (h Hello) ShardRegistration() bool { return h.Purpose == PurposeRegister }
 
-// AnnounceSession writes the extended hello: magic, version, the caller's
-// party name and its session ID. The acceptor answers with an admission
-// response (AwaitAdmission); a legacy acceptor instead fails its preamble
-// descriptively on the magic byte, which is the documented signal that the
-// server does not speak sessions.
-func AnnounceSession(conn net.Conn, name, session string) error {
-	if name == "" || len(name) > maxName {
-		return fmt.Errorf("netid: invalid name %q", name)
+// SendHello writes h as a Version hello (h.Version is ignored) under a
+// write deadline, cleared before returning so the session owns the
+// connection's timeout policy afterwards. The dialer then waits for the
+// reply with AwaitGrant.
+func SendHello(conn net.Conn, h Hello, timeout time.Duration) error {
+	switch {
+	case h.Name == "" || len(h.Name) > maxName:
+		return fmt.Errorf("netid: invalid name %q", h.Name)
+	case len(h.Session) > maxSession:
+		return fmt.Errorf("netid: session ID %q longer than %d bytes", h.Session, maxSession)
+	case h.Purpose > PurposeRegister:
+		return fmt.Errorf("netid: invalid purpose %d", h.Purpose)
+	case h.Lane < 0 || h.Lane > MaxShards:
+		return fmt.Errorf("netid: lane %d outside [0, %d]", h.Lane, MaxShards)
+	case h.Purpose == PurposeRegister && h.Lane == 0:
+		return errors.New("netid: a shard registration needs a shard lane (workers have no control lane)")
 	}
-	if len(session) > maxSession {
-		return fmt.Errorf("netid: session ID %q longer than %d bytes", session, maxSession)
-	}
-	buf := make([]byte, 0, 4+len(name)+len(session))
-	buf = append(buf, magicExtended, Version, byte(len(name)))
-	buf = append(buf, name...)
-	buf = append(buf, byte(len(session)))
-	buf = append(buf, session...)
-	_, err := conn.Write(buf)
-	return err
-}
-
-// AnnounceSessionShard writes the version-2 hello: the extended fields
-// plus the shard lane byte. shard -1 announces the control connection,
-// shard s >= 0 the conduit to TP shard s. The acceptor answers with a
-// routing admission carrying the session's shard count
-// (AwaitAdmissionRouting); acceptors that only speak version 1 refuse the
-// hello with RejectVersion.
-func AnnounceSessionShard(conn net.Conn, name, session string, shard int) error {
-	if name == "" || len(name) > maxName {
-		return fmt.Errorf("netid: invalid name %q", name)
-	}
-	if len(session) > maxSession {
-		return fmt.Errorf("netid: session ID %q longer than %d bytes", session, maxSession)
-	}
-	if shard < -1 || shard >= MaxShards {
-		return fmt.Errorf("netid: shard %d outside [-1, %d)", shard, MaxShards)
-	}
-	buf := make([]byte, 0, 5+len(name)+len(session))
-	buf = append(buf, magicExtended, VersionSharded, byte(len(name)))
-	buf = append(buf, name...)
-	buf = append(buf, byte(len(session)))
-	buf = append(buf, session...)
-	buf = append(buf, byte(shard+1))
-	_, err := conn.Write(buf)
-	return err
-}
-
-// AnnounceSessionShardWithin is AnnounceSessionShard under a write
-// deadline, cleared before returning (cf. AnnounceWithin).
-func AnnounceSessionShardWithin(conn net.Conn, name, session string, shard int, timeout time.Duration) error {
+	buf := make([]byte, 0, 26+len(h.Name)+len(h.Session))
+	buf = append(buf, magic, Version, byte(h.Purpose), byte(len(h.Name)))
+	buf = append(buf, h.Name...)
+	buf = append(buf, byte(len(h.Session)))
+	buf = append(buf, h.Session...)
+	buf = append(buf, byte(h.Lane))
+	buf = binary.BigEndian.AppendUint32(buf, h.Epoch)
+	buf = binary.BigEndian.AppendUint64(buf, h.Sent)
+	buf = binary.BigEndian.AppendUint64(buf, h.Recv)
 	if err := conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
 		return err
 	}
-	if err := AnnounceSessionShard(conn, name, session, shard); err != nil {
+	if _, err := conn.Write(buf); err != nil {
 		return err
 	}
 	return conn.SetWriteDeadline(time.Time{})
 }
 
-// AnnounceResume writes the version-3 resume hello: the version-2 fields,
-// then the proposed transport epoch and the dialer's frame watermarks for
-// the severed lane (big-endian). shard follows the AnnounceSessionShard
-// convention: -1 for the control conduit, s >= 0 for shard s. The acceptor
-// answers with a resume grant (AwaitResumeGrant) or a typed refusal; v0–v2
-// acceptors refuse the unknown version (RejectVersion).
-func AnnounceResume(conn net.Conn, name, session string, shard int, epoch uint32, sent, recv uint64) error {
-	if name == "" || len(name) > maxName {
-		return fmt.Errorf("netid: invalid name %q", name)
-	}
-	if len(session) > maxSession {
-		return fmt.Errorf("netid: session ID %q longer than %d bytes", session, maxSession)
-	}
-	if shard < -1 || shard >= MaxShards {
-		return fmt.Errorf("netid: shard %d outside [-1, %d)", shard, MaxShards)
-	}
-	buf := make([]byte, 0, 25+len(name)+len(session))
-	buf = append(buf, magicExtended, VersionResume, byte(len(name)))
-	buf = append(buf, name...)
-	buf = append(buf, byte(len(session)))
-	buf = append(buf, session...)
-	buf = append(buf, byte(shard+1))
-	buf = binary.BigEndian.AppendUint32(buf, epoch)
-	buf = binary.BigEndian.AppendUint64(buf, sent)
-	buf = binary.BigEndian.AppendUint64(buf, recv)
-	_, err := conn.Write(buf)
-	return err
-}
-
-// AnnounceResumeWithin is AnnounceResume under a write deadline, cleared
-// before returning (cf. AnnounceWithin).
-func AnnounceResumeWithin(conn net.Conn, name, session string, shard int, epoch uint32, sent, recv uint64, timeout time.Duration) error {
-	if err := conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
-		return err
-	}
-	if err := AnnounceResume(conn, name, session, shard, epoch, sent, recv); err != nil {
-		return err
-	}
-	return conn.SetWriteDeadline(time.Time{})
-}
-
-// AnnounceShardRegistration writes the version-4 shard-registration hello
-// a coordinator sends to a shard worker process: the version-3 layout with
-// the registering party's name, the session ID, the shard index being
-// assigned (always a real shard — workers have no control lane, so shard
-// must be in [0, MaxShards)), the transport epoch the coordinator proposes
-// and its frame watermarks for the link (zero on first contact). The
-// worker answers with a resume grant carrying its own watermarks
-// (AwaitResumeGrant): (0, 0) from a fresh process, its live counters when
-// it survived a link flap.
-func AnnounceShardRegistration(conn net.Conn, name, session string, shard int, epoch uint32, sent, recv uint64) error {
-	if name == "" || len(name) > maxName {
-		return fmt.Errorf("netid: invalid name %q", name)
-	}
-	if len(session) > maxSession {
-		return fmt.Errorf("netid: session ID %q longer than %d bytes", session, maxSession)
-	}
-	if shard < 0 || shard >= MaxShards {
-		return fmt.Errorf("netid: shard %d outside [0, %d)", shard, MaxShards)
-	}
-	buf := make([]byte, 0, 25+len(name)+len(session))
-	buf = append(buf, magicExtended, VersionShardProc, byte(len(name)))
-	buf = append(buf, name...)
-	buf = append(buf, byte(len(session)))
-	buf = append(buf, session...)
-	buf = append(buf, byte(shard+1))
-	buf = binary.BigEndian.AppendUint32(buf, epoch)
-	buf = binary.BigEndian.AppendUint64(buf, sent)
-	buf = binary.BigEndian.AppendUint64(buf, recv)
-	_, err := conn.Write(buf)
-	return err
-}
-
-// AnnounceShardRegistrationWithin is AnnounceShardRegistration under a
-// write deadline, cleared before returning (cf. AnnounceWithin).
-func AnnounceShardRegistrationWithin(conn net.Conn, name, session string, shard int, epoch uint32, sent, recv uint64, timeout time.Duration) error {
-	if err := conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
-		return err
-	}
-	if err := AnnounceShardRegistration(conn, name, session, shard, epoch, sent, recv); err != nil {
-		return err
-	}
-	return conn.SetWriteDeadline(time.Time{})
-}
-
-// AnnounceSessionWithin is AnnounceSession under a write deadline, cleared
-// before returning (cf. AnnounceWithin).
-func AnnounceSessionWithin(conn net.Conn, name, session string, timeout time.Duration) error {
-	if err := conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
-		return err
-	}
-	if err := AnnounceSession(conn, name, session); err != nil {
-		return err
-	}
-	return conn.SetWriteDeadline(time.Time{})
-}
-
-// ParseHello reads either hello form from r: the first byte distinguishes
-// a legacy length prefix from the extended magic. A legacy hello parses to
-// Version 0 and the default (empty) session, which is how old
-// single-session holders keep working against a multi-tenant acceptor. A
-// version-2 hello additionally carries the shard lane byte; versions 3
-// (resume) and 4 (shard registration) carry the lane plus the epoch and
-// watermark fields. A hello claiming a version newer than this package
-// understands is returned intact with its claimed Version — the acceptor
-// decides whether to refuse it (RejectVersion) rather than this layer
-// guessing at an unknown layout; bytes past the version-2 fields stay
-// unread, so the refusal must close the connection.
-func ParseHello(r io.Reader) (Hello, error) {
-	var first [1]byte
-	if _, err := io.ReadFull(r, first[:]); err != nil {
-		return Hello{}, fmt.Errorf("netid: reading hello: %w", err)
-	}
-	if first[0] != magicExtended {
-		// Legacy hello: first byte is the name length.
-		if first[0] == 0 || int(first[0]) > maxName {
-			return Hello{}, fmt.Errorf("netid: invalid name length %d", first[0])
-		}
-		name := make([]byte, first[0])
-		if _, err := io.ReadFull(r, name); err != nil {
-			return Hello{}, fmt.Errorf("netid: reading name: %w", err)
-		}
-		return Hello{Name: string(name)}, nil
-	}
-	var ver [1]byte
-	if _, err := io.ReadFull(r, ver[:]); err != nil {
-		return Hello{}, fmt.Errorf("netid: reading hello version: %w", err)
-	}
-	if ver[0] == 0 {
-		return Hello{}, fmt.Errorf("netid: invalid extended hello version 0")
-	}
-	var l [1]byte
-	if _, err := io.ReadFull(r, l[:]); err != nil {
-		return Hello{}, fmt.Errorf("netid: reading name length: %w", err)
-	}
-	if l[0] == 0 || int(l[0]) > maxName {
-		return Hello{}, fmt.Errorf("netid: invalid name length %d", l[0])
-	}
-	name := make([]byte, l[0])
-	if _, err := io.ReadFull(r, name); err != nil {
-		return Hello{}, fmt.Errorf("netid: reading name: %w", err)
-	}
-	if _, err := io.ReadFull(r, l[:]); err != nil {
-		return Hello{}, fmt.Errorf("netid: reading session length: %w", err)
-	}
-	if int(l[0]) > maxSession {
-		return Hello{}, fmt.Errorf("netid: invalid session length %d", l[0])
-	}
-	session := make([]byte, l[0])
-	if _, err := io.ReadFull(r, session); err != nil {
-		return Hello{}, fmt.Errorf("netid: reading session: %w", err)
-	}
-	h := Hello{Name: string(name), Session: string(session), Version: int(ver[0])}
-	if ver[0] >= VersionSharded && ver[0] <= VersionShardProc {
-		var lane [1]byte
-		if _, err := io.ReadFull(r, lane[:]); err != nil {
-			return Hello{}, fmt.Errorf("netid: reading shard lane: %w", err)
-		}
-		h.Lane = int(lane[0])
-	}
-	if ver[0] == VersionResume || ver[0] == VersionShardProc {
-		var marks [20]byte
-		if _, err := io.ReadFull(r, marks[:]); err != nil {
-			return Hello{}, fmt.Errorf("netid: reading resume watermarks: %w", err)
-		}
-		h.Epoch = binary.BigEndian.Uint32(marks[0:4])
-		h.Sent = binary.BigEndian.Uint64(marks[4:12])
-		h.Recv = binary.BigEndian.Uint64(marks[12:20])
-	}
-	return h, nil
-}
-
-// AcceptHello is ParseHello on a fresh connection.
-func AcceptHello(conn net.Conn) (Hello, error) {
-	return ParseHello(conn)
-}
-
-// AcceptHelloWithin is AcceptHello under a read deadline, cleared before
-// returning (cf. AcceptWithin).
-func AcceptHelloWithin(conn net.Conn, timeout time.Duration) (Hello, error) {
+// ReadHello parses a hello from a fresh connection under a read deadline,
+// cleared before returning. A foreign version is returned with only its
+// Version set and nothing past the version byte read; the acceptor refuses
+// it (RejectVersion) and closes the connection.
+func ReadHello(conn net.Conn, timeout time.Duration) (Hello, error) {
 	if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
 		return Hello{}, err
 	}
-	h, err := AcceptHello(conn)
+	h, err := parseHello(conn)
 	if err != nil {
 		return Hello{}, err
 	}
-	if err := conn.SetReadDeadline(time.Time{}); err != nil {
+	return h, conn.SetReadDeadline(time.Time{})
+}
+
+// parseHello is the one hello decoder. Every length is checked before it
+// sizes an allocation.
+func parseHello(r io.Reader) (Hello, error) {
+	var head [2]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		return Hello{}, fmt.Errorf("netid: reading hello: %w", err)
+	}
+	if head[0] != magic {
+		return Hello{}, fmt.Errorf("netid: not a hello (first byte %#02x)", head[0])
+	}
+	if head[1] != Version {
+		return Hello{Version: int(head[1])}, nil
+	}
+	var purpose [1]byte
+	if _, err := io.ReadFull(r, purpose[:]); err != nil {
+		return Hello{}, fmt.Errorf("netid: reading purpose: %w", err)
+	}
+	if Purpose(purpose[0]) > PurposeRegister {
+		return Hello{}, fmt.Errorf("netid: invalid purpose %d", purpose[0])
+	}
+	name, err := readString(r, "name", maxName)
+	if err != nil {
 		return Hello{}, err
 	}
-	return h, nil
+	if name == "" {
+		return Hello{}, errors.New("netid: invalid name length 0")
+	}
+	session, err := readString(r, "session", maxSession)
+	if err != nil {
+		return Hello{}, err
+	}
+	var tail [21]byte
+	if _, err := io.ReadFull(r, tail[:]); err != nil {
+		return Hello{}, fmt.Errorf("netid: reading lane and watermarks: %w", err)
+	}
+	if tail[0] > MaxShards {
+		return Hello{}, fmt.Errorf("netid: invalid lane %d", tail[0])
+	}
+	return Hello{
+		Name:    name,
+		Session: session,
+		Version: Version,
+		Purpose: Purpose(purpose[0]),
+		Lane:    int(tail[0]),
+		Epoch:   binary.BigEndian.Uint32(tail[1:5]),
+		Sent:    binary.BigEndian.Uint64(tail[5:13]),
+		Recv:    binary.BigEndian.Uint64(tail[13:21]),
+	}, nil
+}
+
+// readString reads one length-prefixed hello field of at most max bytes.
+func readString(r io.Reader, what string, max int) (string, error) {
+	var l [1]byte
+	if _, err := io.ReadFull(r, l[:]); err != nil {
+		return "", fmt.Errorf("netid: reading %s length: %w", what, err)
+	}
+	if int(l[0]) > max {
+		return "", fmt.Errorf("netid: invalid %s length %d", what, l[0])
+	}
+	b := make([]byte, l[0])
+	if _, err := io.ReadFull(r, b); err != nil {
+		return "", fmt.Errorf("netid: reading %s: %w", what, err)
+	}
+	return string(b), nil
+}
+
+// Grant admits a hello. Shards is the session's TP shard count: a holder
+// whose control lane is granted K > 1 dials one more lane per shard. Sent
+// and Recv are the acceptor's frame watermarks for a resumed lane — what
+// it had sent on, and received and installed from, the dead conduit — and
+// zero for every other purpose. A shard worker answers with {1, 0, 0}.
+type Grant struct {
+	Shards int
+	Sent   uint64
+	Recv   uint64
+}
+
+// SendGrant answers a hello with admission. The session handshake frames
+// follow on the same connection.
+func SendGrant(w io.Writer, g Grant) error {
+	if g.Shards < 1 || g.Shards > MaxShards {
+		return fmt.Errorf("netid: shard count %d outside [1, %d]", g.Shards, MaxShards)
+	}
+	buf := make([]byte, 0, 18)
+	buf = append(buf, statusGrant, byte(g.Shards))
+	buf = binary.BigEndian.AppendUint64(buf, g.Sent)
+	buf = binary.BigEndian.AppendUint64(buf, g.Recv)
+	_, err := w.Write(buf)
+	return err
+}
+
+// SendReject answers a hello with a typed refusal. The detail is cut to
+// maxRejectDetail bytes on a rune boundary. The caller closes the
+// connection after; nothing may follow a reject frame.
+func SendReject(w io.Writer, code RejectCode, detail string) error {
+	if len(detail) > maxRejectDetail {
+		cut := maxRejectDetail
+		for cut > 0 && !utf8.RuneStart(detail[cut]) {
+			cut--
+		}
+		detail = detail[:cut]
+	}
+	buf := make([]byte, 0, 4+len(detail))
+	buf = append(buf, statusReject, byte(code))
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(detail)))
+	buf = append(buf, detail...)
+	_, err := w.Write(buf)
+	return err
+}
+
+// AwaitGrant reads the reply to a hello: the grant on admission, a
+// *RejectedError (classified under ErrRejected) on a typed refusal. The
+// timeout bounds the whole wait — a saturated server parks the connection
+// in its admission queue and answers only once a slot frees, so this
+// deadline is the dialer's backpressure patience. The read deadline is
+// cleared after a grant so the session owns the connection afterwards.
+func AwaitGrant(conn net.Conn, timeout time.Duration) (Grant, error) {
+	if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
+		return Grant{}, err
+	}
+	g, err := parseGrant(conn)
+	if err != nil {
+		return Grant{}, err
+	}
+	return g, conn.SetReadDeadline(time.Time{})
+}
+
+// parseGrant is the one reply decoder: a grant, or the reject frame as a
+// *RejectedError.
+func parseGrant(r io.Reader) (Grant, error) {
+	var status [1]byte
+	if _, err := io.ReadFull(r, status[:]); err != nil {
+		return Grant{}, fmt.Errorf("netid: reading hello reply: %w", err)
+	}
+	switch status[0] {
+	case statusGrant:
+		var body [17]byte
+		if _, err := io.ReadFull(r, body[:]); err != nil {
+			return Grant{}, fmt.Errorf("netid: reading grant: %w", err)
+		}
+		if body[0] < 1 || body[0] > MaxShards {
+			return Grant{}, fmt.Errorf("netid: invalid shard count %d", body[0])
+		}
+		return Grant{
+			Shards: int(body[0]),
+			Sent:   binary.BigEndian.Uint64(body[1:9]),
+			Recv:   binary.BigEndian.Uint64(body[9:17]),
+		}, nil
+	case statusReject:
+		var hdr [3]byte
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return Grant{}, fmt.Errorf("netid: reading reject frame: %w", err)
+		}
+		n := binary.BigEndian.Uint16(hdr[1:3])
+		if n > maxRejectDetail {
+			return Grant{}, fmt.Errorf("netid: reject detail length %d exceeds %d", n, maxRejectDetail)
+		}
+		detail := make([]byte, n)
+		if _, err := io.ReadFull(r, detail); err != nil {
+			return Grant{}, fmt.Errorf("netid: reading reject detail: %w", err)
+		}
+		return Grant{}, &RejectedError{Code: RejectCode(hdr[0]), Detail: string(detail)}
+	default:
+		return Grant{}, fmt.Errorf("netid: invalid hello reply status %d", status[0])
+	}
+}
+
+// AnnounceShardRegistrationWithin sends the registration hello a
+// coordinator opens a shard-worker link with: shard in [0, MaxShards), the
+// proposed transport epoch and the coordinator's frame watermarks.
+func AnnounceShardRegistrationWithin(conn net.Conn, name, session string, shard int, epoch uint32, sent, recv uint64, timeout time.Duration) error {
+	return SendHello(conn, Hello{Name: name, Session: session, Purpose: PurposeRegister,
+		Lane: shard + 1, Epoch: epoch, Sent: sent, Recv: recv}, timeout)
+}
+
+// AwaitResumeGrant is AwaitGrant reduced to the grant's watermarks.
+func AwaitResumeGrant(conn net.Conn, timeout time.Duration) (sent, recv uint64, err error) {
+	g, err := AwaitGrant(conn, timeout)
+	return g.Sent, g.Recv, err
 }
 
 // RejectCode types the reason an admission was refused, so holders and
@@ -452,13 +342,14 @@ const (
 	// RejectDraining: the server is draining for shutdown and admits no
 	// new work. Retryable — a restarted server will accept again.
 	RejectDraining
-	// RejectVersion: the hello's protocol version is not supported.
+	// RejectVersion: the hello's version is not Version, or its purpose is
+	// one this acceptor does not serve.
 	RejectVersion
-	// RejectSession: the session ID is invalid or conflicts with session
-	// state (e.g. the session already failed).
+	// RejectSession: the session ID or lane is invalid or conflicts with
+	// session state (e.g. the session already failed).
 	RejectSession
 	// RejectUnknownHolder: the announced name is not one of the holders
-	// this server serves sessions for.
+	// this acceptor expects.
 	RejectUnknownHolder
 	// RejectDuplicateHolder: this session already has a connection for the
 	// announced holder name.
@@ -466,10 +357,10 @@ const (
 	// RejectTimeout: the session did not gather all of its holders within
 	// the server's gather deadline; its parked connections are refused.
 	RejectTimeout
-	// RejectResume: a version-3 resume hello was refused — the session or
-	// lane is unknown, the session already aborted, or the offered
-	// watermarks are stale/backward relative to the server's. Not
-	// retryable: the streamed state the resume depends on is gone.
+	// RejectResume: a resume hello was refused — the session or lane is
+	// unknown, the session already aborted, or the offered watermarks are
+	// stale/backward relative to the server's. Not retryable: the streamed
+	// state the resume depends on is gone.
 	RejectResume
 )
 
@@ -525,168 +416,3 @@ func (e *RejectedError) Unwrap() error { return ErrRejected }
 // draining server is being replaced, so holders racing a restart should
 // back off and reconnect rather than exit.
 func (e *RejectedError) Retryable() bool { return e.Code == RejectDraining }
-
-// SendAccept answers an extended hello with admission. The session
-// handshake frames follow on the same connection.
-func SendAccept(conn net.Conn) error {
-	_, err := conn.Write([]byte{statusAccept})
-	return err
-}
-
-// SendAcceptRouting answers a version-2 hello with admission plus the
-// routing preamble: the session's TP shard count. The dialer is expected
-// to establish one conduit per shard (to ShardName(0..shards-1)) before
-// the party handshake; shards == 1 means the single-TP path with no shard
-// conduits. Version-1 dialers never receive this form — they cannot read
-// the count, so a sharded server admits them only when shards == 1
-// (SendAccept) and refuses otherwise (RejectVersion).
-func SendAcceptRouting(conn net.Conn, shards int) error {
-	if shards < 1 || shards > MaxShards {
-		return fmt.Errorf("netid: shard count %d outside [1, %d]", shards, MaxShards)
-	}
-	_, err := conn.Write([]byte{statusAccept, byte(shards)})
-	return err
-}
-
-// SendAcceptResume answers a version-3 resume hello with a resume grant:
-// admission plus the acceptor's own frame watermarks for the lane (frames
-// it had sent, frames it had received and installed — big-endian). The
-// dialer replays everything past recv; the acceptor replays everything
-// past the hello's Recv. Secure-channel re-establishment under the agreed
-// epoch follows on the same connection.
-func SendAcceptResume(conn net.Conn, sent, recv uint64) error {
-	buf := make([]byte, 0, 17)
-	buf = append(buf, statusAccept)
-	buf = binary.BigEndian.AppendUint64(buf, sent)
-	buf = binary.BigEndian.AppendUint64(buf, recv)
-	_, err := conn.Write(buf)
-	return err
-}
-
-// SendReject answers an extended hello with a typed refusal and detail
-// (truncated to a bounded length). The caller closes the connection after;
-// nothing may follow a reject frame.
-func SendReject(conn net.Conn, code RejectCode, detail string) error {
-	if len(detail) > maxRejectDetail {
-		detail = detail[:maxRejectDetail]
-	}
-	buf := make([]byte, 0, 4+len(detail))
-	buf = append(buf, statusReject, byte(code))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(detail)))
-	buf = append(buf, detail...)
-	_, err := conn.Write(buf)
-	return err
-}
-
-// AwaitAdmission reads the admission response that follows an extended
-// hello: nil on accept, a *RejectedError (classified under ErrRejected) on
-// a typed refusal. The timeout bounds the whole wait — a saturated server
-// parks the connection in its admission queue and answers only once a slot
-// frees, so this deadline is the dialer's backpressure patience. The read
-// deadline is cleared before returning so the session owns the
-// connection's timeout policy afterwards.
-func AwaitAdmission(conn net.Conn, timeout time.Duration) error {
-	if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-		return err
-	}
-	var status [1]byte
-	if _, err := io.ReadFull(conn, status[:]); err != nil {
-		return fmt.Errorf("netid: reading admission response: %w", err)
-	}
-	switch status[0] {
-	case statusAccept:
-		return conn.SetReadDeadline(time.Time{})
-	case statusReject:
-		return readReject(conn)
-	default:
-		return fmt.Errorf("netid: invalid admission response status %d", status[0])
-	}
-}
-
-// AwaitAdmissionRouting reads the routing admission that follows a
-// version-2 hello: the session's TP shard count on accept, a
-// *RejectedError on a typed refusal. Deadline semantics match
-// AwaitAdmission.
-func AwaitAdmissionRouting(conn net.Conn, timeout time.Duration) (int, error) {
-	if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-		return 0, err
-	}
-	var status [1]byte
-	if _, err := io.ReadFull(conn, status[:]); err != nil {
-		return 0, fmt.Errorf("netid: reading admission response: %w", err)
-	}
-	switch status[0] {
-	case statusAccept:
-		var count [1]byte
-		if _, err := io.ReadFull(conn, count[:]); err != nil {
-			return 0, fmt.Errorf("netid: reading shard count: %w", err)
-		}
-		if count[0] < 1 {
-			return 0, fmt.Errorf("netid: invalid shard count %d", count[0])
-		}
-		return int(count[0]), conn.SetReadDeadline(time.Time{})
-	case statusReject:
-		return 0, readReject(conn)
-	default:
-		return 0, fmt.Errorf("netid: invalid admission response status %d", status[0])
-	}
-}
-
-// AwaitResumeGrant reads the resume grant that follows a version-3 hello:
-// the acceptor's (sent, recv) watermarks for the lane on accept, a
-// *RejectedError on a typed refusal. Deadline semantics match
-// AwaitAdmission.
-func AwaitResumeGrant(conn net.Conn, timeout time.Duration) (sent, recv uint64, err error) {
-	if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-		return 0, 0, err
-	}
-	var status [1]byte
-	if _, err := io.ReadFull(conn, status[:]); err != nil {
-		return 0, 0, fmt.Errorf("netid: reading resume grant: %w", err)
-	}
-	switch status[0] {
-	case statusAccept:
-		sent, recv, err = parseResumeGrant(conn)
-		if err != nil {
-			return 0, 0, err
-		}
-		return sent, recv, conn.SetReadDeadline(time.Time{})
-	case statusReject:
-		return 0, 0, readReject(conn)
-	default:
-		return 0, 0, fmt.Errorf("netid: invalid resume grant status %d", status[0])
-	}
-}
-
-// parseResumeGrant reads the watermark body of an accepted resume grant:
-// the acceptor's sent and received frame counts, big-endian.
-func parseResumeGrant(r io.Reader) (sent, recv uint64, err error) {
-	var marks [16]byte
-	if _, err := io.ReadFull(r, marks[:]); err != nil {
-		return 0, 0, fmt.Errorf("netid: reading resume watermarks: %w", err)
-	}
-	return binary.BigEndian.Uint64(marks[0:8]), binary.BigEndian.Uint64(marks[8:16]), nil
-}
-
-// readReject is parseReject on a connection.
-func readReject(conn net.Conn) error {
-	return parseReject(conn)
-}
-
-// parseReject parses the typed refusal frame that follows a reject status
-// byte.
-func parseReject(r io.Reader) error {
-	var hdr [3]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return fmt.Errorf("netid: reading reject frame: %w", err)
-	}
-	n := binary.BigEndian.Uint16(hdr[1:3])
-	if n > maxRejectDetail {
-		return fmt.Errorf("netid: reject detail length %d exceeds %d", n, maxRejectDetail)
-	}
-	detail := make([]byte, n)
-	if _, err := io.ReadFull(r, detail); err != nil {
-		return fmt.Errorf("netid: reading reject detail: %w", err)
-	}
-	return &RejectedError{Code: RejectCode(hdr[0]), Detail: string(detail)}
-}

@@ -1,142 +1,115 @@
 package netid
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 )
 
-func TestAnnounceAccept(t *testing.T) {
+// roundTrip sends h over a pipe and returns what the acceptor parsed.
+func roundTrip(t *testing.T, h Hello) Hello {
+	t.Helper()
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
 	done := make(chan error, 1)
-	go func() { done <- Announce(a, "HolderA") }()
-	name, err := Accept(b)
+	go func() { done <- SendHello(a, h, time.Second) }()
+	got, err := ReadHello(b, time.Second)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if name != "HolderA" {
-		t.Fatalf("name = %q", name)
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+	return got
 }
 
+// serveReply runs one reply writer on a pipe and returns the dialer's end.
+func serveReply(t *testing.T, write func(c net.Conn) error) (net.Conn, chan error) {
+	t.Helper()
+	a, b := net.Pipe()
+	t.Cleanup(func() { a.Close(); b.Close() })
+	done := make(chan error, 1)
+	go func() { done <- write(a) }()
+	return b, done
+}
+
+func TestAnnounceAccept(t *testing.T) {
+	h := roundTrip(t, Hello{Name: "HolderA"})
+	want := Hello{Name: "HolderA", Version: Version}
+	if h != want {
+		t.Fatalf("hello = %+v, want %+v", h, want)
+	}
+	if h.Resume() || h.ShardRegistration() {
+		t.Fatal("zero-purpose hello must be a join")
+	}
+}
+
+// TestAnnounceValidation: SendHello refuses, before writing anything, a
+// hello whose name, session, purpose or lane the parser would reject.
 func TestAnnounceValidation(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	if err := Announce(a, ""); err == nil {
-		t.Fatal("empty name accepted")
-	}
-	if err := Announce(a, strings.Repeat("x", 65)); err == nil {
-		t.Fatal("oversized name accepted")
+	for _, h := range []Hello{
+		{},
+		{Name: strings.Repeat("x", 65)},
+		{Name: "H", Session: strings.Repeat("s", 65)},
+		{Name: "H", Purpose: PurposeRegister + 1},
+		{Name: "H", Lane: -1},
+		{Name: "H", Lane: MaxShards + 1},
+	} {
+		if err := SendHello(a, h, time.Second); err == nil {
+			t.Fatalf("hello %+v accepted", h)
+		}
 	}
 }
 
+// TestAcceptRejectsGarbage: a zero-length name, an unknown purpose, an
+// out-of-range lane and a name-only preamble without the magic byte are
+// descriptive parse errors.
 func TestAcceptRejectsGarbage(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	go a.Write([]byte{0})
-	if _, err := Accept(b); err == nil {
-		t.Fatal("zero length accepted")
+	for _, tc := range []struct {
+		frame []byte
+		want  string
+	}{
+		{[]byte{magic, Version, 0, 0}, "invalid name length 0"},
+		{[]byte{magic, Version, 7, 1, 'H'}, "invalid purpose 7"},
+		{append([]byte{magic, Version, 0, 1, 'H', 0, 0xFF}, make([]byte, 20)...), "invalid lane 255"},
+		{[]byte{7, 'H', 'o', 'l', 'd', 'e', 'r'}, "not a hello"},
+	} {
+		_, err := parseHello(bytes.NewReader(tc.frame))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("frame %x: err = %v, want %q", tc.frame, err, tc.want)
+		}
 	}
 }
 
 func TestExtendedHelloRoundTrip(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	done := make(chan error, 1)
-	go func() { done <- AnnounceSessionWithin(a, "HolderA", "tenant-7", time.Second) }()
-	h, err := AcceptHelloWithin(b, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Name != "HolderA" || h.Session != "tenant-7" || h.Version != Version {
-		t.Fatalf("hello = %+v", h)
-	}
-	if !h.Extended() {
-		t.Fatal("extended hello not marked extended")
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	h := roundTrip(t, Hello{Name: "HolderA", Session: "tenant-7", Version: 99})
+	want := Hello{Name: "HolderA", Session: "tenant-7", Version: Version}
+	if h != want {
+		t.Fatalf("hello = %+v, want %+v (the writer always sends Version)", h, want)
 	}
 }
 
-func TestLegacyHelloParsesAsDefaultSession(t *testing.T) {
-	// Old single-session holders keep working against a multi-tenant
-	// acceptor: their hello routes to the default (empty) session and no
-	// admission response is owed.
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	done := make(chan error, 1)
-	go func() { done <- Announce(a, "HolderB") }()
-	h, err := AcceptHello(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Name != "HolderB" || h.Session != "" || h.Version != 0 {
-		t.Fatalf("hello = %+v", h)
-	}
-	if h.Extended() {
-		t.Fatal("legacy hello marked extended")
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLegacyAcceptorRejectsExtendedHelloDescriptively(t *testing.T) {
-	// A new holder announcing a session to an old single-session TP must
-	// fail the old preamble with a descriptive error, not a misparse: the
-	// extended magic is an invalid legacy name length.
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	go AnnounceSession(a, "HolderA", "tenant-7")
-	_, err := Accept(b)
-	if err == nil || !strings.Contains(err.Error(), "invalid name length 255") {
-		t.Fatalf("err = %v, want invalid name length 255", err)
-	}
-}
-
-func TestAnnounceSessionValidation(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	if err := AnnounceSession(a, "", "s"); err == nil {
-		t.Fatal("empty name accepted")
-	}
-	if err := AnnounceSession(a, "H", strings.Repeat("s", 65)); err == nil {
-		t.Fatal("oversized session accepted")
-	}
-}
-
+// TestFutureVersionHelloSurvivesParse: a hello with a foreign version byte
+// (an older build's 1–4, or a newer one) parses to its claimed version and
+// nothing else, so the acceptor refuses it with RejectVersion instead of a
+// parse error.
 func TestFutureVersionHelloSurvivesParse(t *testing.T) {
-	// A version-5 hello parses through the version-1 fields known to this
-	// package (minus the lane and watermark fields, which versions 2–4
-	// define) and reports its claimed version, so the acceptor can refuse
-	// it with RejectVersion instead of a parse error.
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	go a.Write([]byte{magicExtended, 5, 1, 'H', 2, 's', '2'})
-	h, err := AcceptHello(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Version != 5 || h.Name != "H" || h.Session != "s2" {
-		t.Fatalf("hello = %+v", h)
-	}
-	if h.Lane != 0 {
-		t.Fatalf("future hello claims lane %d, want 0", h.Lane)
+	for _, v := range []byte{0, 1, 4, Version + 1} {
+		h, err := parseHello(bytes.NewReader([]byte{magic, v, 1, 'H', 2, 's', '2'}))
+		if err != nil {
+			t.Fatalf("version %d: %v", v, err)
+		}
+		if h != (Hello{Version: int(v)}) {
+			t.Fatalf("version %d: hello = %+v, want only the version", v, h)
+		}
 	}
 }
 
@@ -146,7 +119,7 @@ func TestAdmissionAcceptAndReject(t *testing.T) {
 		serve func(c net.Conn) error
 		check func(t *testing.T, err error)
 	}{
-		{"accept", SendAccept, func(t *testing.T, err error) {
+		{"accept", func(c net.Conn) error { return SendGrant(c, Grant{Shards: 1}) }, func(t *testing.T, err error) {
 			if err != nil {
 				t.Fatalf("accept: %v", err)
 			}
@@ -181,12 +154,9 @@ func TestAdmissionAcceptAndReject(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			a, b := net.Pipe()
-			defer a.Close()
-			defer b.Close()
-			done := make(chan error, 1)
-			go func() { done <- tc.serve(a) }()
-			tc.check(t, AwaitAdmission(b, time.Second))
+			b, done := serveReply(t, tc.serve)
+			_, err := AwaitGrant(b, time.Second)
+			tc.check(t, err)
 			if err := <-done; err != nil {
 				t.Fatal(err)
 			}
@@ -194,14 +164,14 @@ func TestAdmissionAcceptAndReject(t *testing.T) {
 	}
 }
 
-func TestAwaitAdmissionTimesOutOnParkedConnection(t *testing.T) {
+func TestAwaitGrantTimesOutOnParkedConnection(t *testing.T) {
 	// A server that parks the connection past the dialer's patience is a
 	// deadline error, never a hang.
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
 	start := time.Now()
-	err := AwaitAdmission(b, 30*time.Millisecond)
+	_, err := AwaitGrant(b, 30*time.Millisecond)
 	if err == nil || errors.Is(err, ErrRejected) {
 		t.Fatalf("err = %v, want plain deadline error", err)
 	}
@@ -215,186 +185,121 @@ func TestAcceptWithinTimesOutOnSilentClient(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	start := time.Now()
-	if _, err := AcceptWithin(b, 30*time.Millisecond); err == nil {
+	if _, err := ReadHello(b, 30*time.Millisecond); err == nil {
 		t.Fatal("silent client accepted")
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("deadline not applied")
 	}
 	// A prompt client still gets through, and the deadline is cleared.
-	done := make(chan error, 1)
-	go func() { done <- AnnounceWithin(a, "H", time.Second) }()
-	name, err := AcceptWithin(b, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != "H" {
-		t.Fatalf("name = %q", name)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	if h := roundTrip(t, Hello{Name: "H"}); h.Name != "H" {
+		t.Fatalf("name = %q", h.Name)
 	}
 }
 
-// TestShardedHelloRoundTrip covers the version-2 preamble end to end: the
-// control hello (shard -1, wire lane 0) and shard-lane hellos round-trip
-// name, session, version and lane through AnnounceSessionShardWithin /
-// AcceptHello.
+// TestShardedHelloRoundTrip: the control lane (0) and shard lanes (s+1)
+// round-trip through SendHello / ReadHello.
 func TestShardedHelloRoundTrip(t *testing.T) {
-	for _, shard := range []int{-1, 0, 3} {
-		a, b := net.Pipe()
-		done := make(chan error, 1)
-		go func() { done <- AnnounceSessionShardWithin(a, "HolderA", "tenant-7", shard, time.Second) }()
-		h, err := AcceptHelloWithin(b, time.Second)
-		if err != nil {
-			t.Fatalf("shard %d: %v", shard, err)
+	for _, lane := range []int{0, 1, 4, MaxShards} {
+		h := roundTrip(t, Hello{Name: "HolderA", Session: "tenant-7", Lane: lane})
+		if h.Name != "HolderA" || h.Session != "tenant-7" || h.Version != Version || h.Lane != lane {
+			t.Fatalf("lane %d: hello = %+v", lane, h)
 		}
-		if h.Name != "HolderA" || h.Session != "tenant-7" || h.Version != VersionSharded {
-			t.Fatalf("shard %d: hello = %+v", shard, h)
-		}
-		if h.Lane != shard+1 {
-			t.Fatalf("shard %d: lane = %d, want %d", shard, h.Lane, shard+1)
-		}
-		if !h.Extended() {
-			t.Fatalf("shard %d: sharded hello not marked extended", shard)
-		}
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-		a.Close()
-		b.Close()
 	}
 }
 
-func TestAnnounceSessionShardValidation(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	if err := AnnounceSessionShard(a, "H", "s", -2); err == nil {
-		t.Fatal("shard -2 accepted")
-	}
-	if err := AnnounceSessionShard(a, "H", "s", MaxShards); err == nil {
-		t.Fatalf("shard %d accepted", MaxShards)
-	}
-}
-
-// TestRoutingAdmission: the routing accept carries the session's shard
-// count to the holder; rejects flow through the same typed path as the
-// version-1 admission; and a plain version-1 accept (no count byte) is a
-// descriptive error, never a misparse or a hang.
+// TestRoutingAdmission: the grant carries the session's shard count; a
+// reject flows through the same typed path; and a grant cut short before
+// its body is a descriptive error, never a misparse or a hang.
 func TestRoutingAdmission(t *testing.T) {
-	serve := func(f func(c net.Conn) error) (net.Conn, chan error) {
-		a, b := net.Pipe()
-		t.Cleanup(func() { a.Close(); b.Close() })
-		done := make(chan error, 1)
-		go func() { done <- f(a) }()
-		return b, done
-	}
-
-	b, done := serve(func(c net.Conn) error { return SendAcceptRouting(c, 4) })
-	k, err := AwaitAdmissionRouting(b, time.Second)
-	if err != nil || k != 4 {
-		t.Fatalf("routing accept: k=%d err=%v, want 4", k, err)
+	b, done := serveReply(t, func(c net.Conn) error { return SendGrant(c, Grant{Shards: 4}) })
+	g, err := AwaitGrant(b, time.Second)
+	if err != nil || g != (Grant{Shards: 4}) {
+		t.Fatalf("grant = %+v err=%v, want 4 shards", g, err)
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 
-	b, done = serve(func(c net.Conn) error { return SendReject(c, RejectVersion, "no") })
-	if _, err := AwaitAdmissionRouting(b, time.Second); !errors.Is(err, ErrRejected) {
-		t.Fatalf("routing reject: %v, want ErrRejected", err)
+	b, done = serveReply(t, func(c net.Conn) error { return SendReject(c, RejectVersion, "no") })
+	if _, err := AwaitGrant(b, time.Second); !errors.Is(err, ErrRejected) {
+		t.Fatalf("reject: %v, want ErrRejected", err)
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 
-	// A v1 accept closes (or stalls) before the count byte arrives.
-	b, done = serve(func(c net.Conn) error {
-		if err := SendAccept(c); err != nil {
+	// An older build's one-byte accept closes before the grant body.
+	b, done = serveReply(t, func(c net.Conn) error {
+		if _, err := c.Write([]byte{statusGrant, 2}); err != nil {
 			return err
 		}
 		return c.Close()
 	})
-	if k, err := AwaitAdmissionRouting(b, time.Second); err == nil {
-		t.Fatalf("count-less accept parsed as %d shards", k)
+	if g, err := AwaitGrant(b, time.Second); err == nil {
+		t.Fatalf("truncated grant parsed as %+v", g)
 	}
 	<-done
 }
 
 func TestSendAcceptRoutingValidation(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	if err := SendAcceptRouting(a, 0); err == nil {
+	var buf bytes.Buffer
+	if err := SendGrant(&buf, Grant{}); err == nil {
 		t.Fatal("0 shards accepted")
 	}
-	if err := SendAcceptRouting(a, MaxShards+1); err == nil {
+	if err := SendGrant(&buf, Grant{Shards: MaxShards + 1}); err == nil {
 		t.Fatalf("%d shards accepted", MaxShards+1)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("invalid grant wrote %d bytes", buf.Len())
 	}
 }
 
 func TestResumeHelloRoundTrip(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	done := make(chan error, 1)
-	go func() {
-		done <- AnnounceResumeWithin(a, "HolderB", "tenant-9", 2, 5, 1234, 99, time.Second)
-	}()
-	h, err := AcceptHelloWithin(b, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	want := Hello{Name: "HolderB", Session: "tenant-9", Version: VersionResume,
+	in := Hello{Name: "HolderB", Session: "tenant-9", Purpose: PurposeResume,
 		Lane: 3, Epoch: 5, Sent: 1234, Recv: 99}
+	h := roundTrip(t, in)
+	want := in
+	want.Version = Version
 	if h != want {
 		t.Fatalf("hello = %+v, want %+v", h, want)
 	}
-	if !h.Resume() || !h.Extended() {
-		t.Fatal("v3 hello must report Resume and Extended")
+	if !h.Resume() || h.ShardRegistration() {
+		t.Fatal("resume hello must report Resume only")
 	}
 }
 
 func TestResumeHelloControlLane(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	go AnnounceResume(a, "HolderA", "s", -1, 1, 7, 7)
-	h, err := AcceptHello(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Lane != 0 {
-		t.Fatalf("control lane = %d, want 0", h.Lane)
+	h := roundTrip(t, Hello{Name: "HolderA", Session: "s", Purpose: PurposeResume, Epoch: 1, Sent: 7, Recv: 7})
+	if h.Lane != 0 || !h.Resume() {
+		t.Fatalf("hello = %+v, want a control-lane resume", h)
 	}
 }
 
 func TestResumeGrantRoundTrip(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	done := make(chan error, 1)
-	go func() { done <- SendAcceptResume(a, 4321, 17) }()
-	sent, recv, err := AwaitResumeGrant(b, time.Second)
+	b, done := serveReply(t, func(c net.Conn) error { return SendGrant(c, Grant{Shards: 2, Sent: 4321, Recv: 17}) })
+	g, err := AwaitGrant(b, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if sent != 4321 || recv != 17 {
-		t.Fatalf("grant = (%d, %d)", sent, recv)
+	if g != (Grant{Shards: 2, Sent: 4321, Recv: 17}) {
+		t.Fatalf("grant = %+v", g)
 	}
+	// The compatibility form returns the same watermarks.
+	b, done = serveReply(t, func(c net.Conn) error { return SendGrant(c, Grant{Shards: 1, Sent: 8, Recv: 9}) })
+	if sent, recv, err := AwaitResumeGrant(b, time.Second); err != nil || sent != 8 || recv != 9 {
+		t.Fatalf("AwaitResumeGrant = (%d, %d, %v)", sent, recv, err)
+	}
+	<-done
 }
 
 func TestResumeGrantReject(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	go SendReject(a, RejectResume, "watermark behind installed rows")
+	b, _ := serveReply(t, func(c net.Conn) error {
+		return SendReject(c, RejectResume, "watermark behind installed rows")
+	})
 	_, _, err := AwaitResumeGrant(b, time.Second)
 	if !errors.Is(err, ErrRejected) {
 		t.Fatalf("err = %v, want ErrRejected", err)
@@ -411,31 +316,36 @@ func TestResumeGrantReject(t *testing.T) {
 	}
 }
 
-// TestFutureVersionPassthrough pins the forward-compat contract: a hello
-// claiming a version newer than VersionShardProc is returned intact with
-// its claimed version and no extra fields consumed, so the acceptor can
-// refuse it (RejectVersion) without this layer guessing at the layout.
+// TestFutureVersionPassthrough pins the forward-compat contract over a
+// connection: a foreign version is returned with no field past the version
+// byte consumed and no purpose, so the acceptor can refuse it
+// (RejectVersion) without this layer guessing at the layout.
 func TestFutureVersionPassthrough(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	go a.Write([]byte{0xFF, 5, 1, 'H', 1, 's'})
-	h, err := AcceptHello(b)
+	go a.Write([]byte{magic, Version + 1, 1, 'H', 1, 's'})
+	h, err := ReadHello(b, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Version != 5 || h.Name != "H" || h.Session != "s" {
+	if h.Version != Version+1 || h.Name != "" {
 		t.Fatalf("hello = %+v", h)
 	}
 	if h.Resume() || h.ShardRegistration() {
-		t.Fatal("future version must not classify as resume or registration")
+		t.Fatal("foreign version must not classify as resume or registration")
+	}
+	// The unread remainder is still on the wire.
+	rest := make([]byte, 4)
+	if _, err := b.Read(rest); err != nil || rest[0] != 1 || rest[1] != 'H' {
+		t.Fatalf("remainder %x, %v", rest, err)
 	}
 }
 
-// TestShardRegistrationRoundTrip covers the version-4 preamble: the
-// coordinator's shard-registration hello round-trips name, session, shard
-// lane, epoch and watermarks through AnnounceShardRegistrationWithin /
-// AcceptHello, and classifies as a registration (never a holder resume).
+// TestShardRegistrationRoundTrip: the coordinator's registration hello
+// round-trips name, session, shard lane, epoch and watermarks through
+// AnnounceShardRegistrationWithin / ReadHello and classifies as a
+// registration, never a holder resume.
 func TestShardRegistrationRoundTrip(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
@@ -444,23 +354,20 @@ func TestShardRegistrationRoundTrip(t *testing.T) {
 	go func() {
 		done <- AnnounceShardRegistrationWithin(a, "TP", "tenant-3", 2, 7, 41, 8, time.Second)
 	}()
-	h, err := AcceptHelloWithin(b, time.Second)
+	h, err := ReadHello(b, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	want := Hello{Name: "TP", Session: "tenant-3", Version: VersionShardProc,
+	want := Hello{Name: "TP", Session: "tenant-3", Version: Version, Purpose: PurposeRegister,
 		Lane: 3, Epoch: 7, Sent: 41, Recv: 8}
 	if h != want {
 		t.Fatalf("hello = %+v, want %+v", h, want)
 	}
-	if !h.ShardRegistration() || !h.Extended() {
-		t.Fatal("v4 hello must report ShardRegistration and Extended")
-	}
-	if h.Resume() {
-		t.Fatal("v4 hello must not classify as a holder resume")
+	if !h.ShardRegistration() || h.Resume() {
+		t.Fatal("registration hello must report ShardRegistration only")
 	}
 }
 
@@ -468,13 +375,30 @@ func TestAnnounceShardRegistrationValidation(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	if err := AnnounceShardRegistration(a, "TP", "s", -1, 0, 0, 0); err == nil {
+	if err := AnnounceShardRegistrationWithin(a, "TP", "s", -1, 0, 0, 0, time.Second); err == nil {
 		t.Fatal("shard -1 accepted (workers have no control lane)")
 	}
-	if err := AnnounceShardRegistration(a, "TP", "s", MaxShards, 0, 0, 0); err == nil {
+	if err := AnnounceShardRegistrationWithin(a, "TP", "s", MaxShards, 0, 0, 0, time.Second); err == nil {
 		t.Fatalf("shard %d accepted", MaxShards)
 	}
-	if err := AnnounceShardRegistration(a, "", "s", 0, 0, 0, 0); err == nil {
+	if err := AnnounceShardRegistrationWithin(a, "", "s", 0, 0, 0, 0, time.Second); err == nil {
 		t.Fatal("empty name accepted")
+	}
+}
+
+// TestRejectDetailCutOnRuneBoundary: an over-long detail is cut so the
+// frame still carries valid UTF-8 within the 512-byte bound.
+func TestRejectDetailCutOnRuneBoundary(t *testing.T) {
+	var buf bytes.Buffer
+	if err := SendReject(&buf, RejectBudget, strings.Repeat("a", 511)+"é"); err != nil {
+		t.Fatal(err)
+	}
+	_, err := parseGrant(&buf)
+	var re *RejectedError
+	if !errors.As(err, &re) {
+		t.Fatalf("err = %v, want *RejectedError", err)
+	}
+	if !utf8.ValidString(re.Detail) || len(re.Detail) > maxRejectDetail {
+		t.Fatalf("detail of %d bytes, valid UTF-8 %v", len(re.Detail), utf8.ValidString(re.Detail))
 	}
 }

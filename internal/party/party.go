@@ -109,8 +109,11 @@ type Config struct {
 	Mode protocol.Mode
 	// Variant selects the numeric protocol arithmetic.
 	Variant Variant
-	// RNG selects the shared generator implementation; defaults to the
-	// AES-CTR generator, matching the paper's "high quality,
+	// RNG selects the shared generator implementation. The zero value is
+	// rng.KindXoshiro, so a bare Config — as the server tests,
+	// cmd/ppc-bench and perfbench build it — masks with xoshiro256**.
+	// Only the public facade (ppclust.Options) always sets
+	// rng.KindAESCTR, which meets the paper's "high quality,
 	// unpredictable" requirement.
 	RNG rng.Kind
 	// IntParams bounds the integer variant (zero value = defaults).
@@ -217,8 +220,8 @@ type Config struct {
 	// goroutines, the coordinator dials one ppc-shard worker per active
 	// range through this hook, hands each its slice offer and relays the
 	// holders' shard-lane frames to it. The hook performs the shard
-	// registration (netid v4 hello carrying state) and returns the raw
-	// replacement transport plus the worker's grant; the coordinator
+	// registration (a netid register hello carrying state) and returns
+	// the raw replacement transport plus the worker's grant; the coordinator
 	// layers key agreement and AES-GCM on top — worker links are always
 	// encrypted, Config.PlaintextChannels notwithstanding. With
 	// ResumeWindow > 0 a severed worker link (crashed process, dropped

@@ -74,7 +74,7 @@ type ResumeGrant struct {
 
 // RedialFunc re-establishes one severed holder↔TP lane. It must dial a
 // replacement transport, deliver state to the third party (in a
-// deployment: a version-3 netid resume hello), and return the raw conduit
+// deployment: a netid resume hello), and return the raw conduit
 // together with the grant. The holder layers its own channel protection
 // over the conduit. Errors wrapping ErrResumeStale, ErrResumeAborted or
 // ErrResumeUnknown abort the session; anything else is retried with

@@ -8,9 +8,9 @@ package party
 // coordinator↔shard control protocol:
 //
 //	coordinator                                 worker
-//	    │  netid v4 shard-registration hello       │
+//	    │  netid shard-registration hello          │
 //	    │──────────────────────────────────────────▶
-//	    ◀──────────────────────────────────────────│  grant (0, 0)
+//	    ◀──────────────────────────────────────────│  grant {1, 0, 0}
 //	    │  hello (X25519) ⇄ hello, then AES-GCM    │
 //	    │──────────────────────────────────────────▶
 //	    │  ppc/shard-offer (range+census+seeds)    │
@@ -55,7 +55,7 @@ import (
 )
 
 // ShardDialFunc establishes the coordinator's transport to shard worker s.
-// It performs the shard registration (netid.AnnounceShardRegistration with
+// It performs the shard registration (a netid registration hello with
 // the given resume state; epoch 0 on first contact) and returns the raw
 // conduit plus the worker's watermark grant, which is always (0, 0) — a
 // worker is always fresh. Errors wrapping ErrResumeStale, ErrResumeAborted

@@ -77,7 +77,7 @@ func (p *shardWorkerPool) close() {
 }
 
 // dialer builds the ShardDialFunc a deployment's coordinator would use:
-// TCP dial, v4 shard-registration hello with the resume state, watermark
+// TCP dial, shard-registration hello with the resume state, watermark
 // grant, pooled conduit. wrap, when non-nil, decorates each returned
 // conduit (keyed by shard and the per-shard dial ordinal) — the hook tests
 // use to flap or cut a worker link.
@@ -318,20 +318,36 @@ func TestShardProcDrainingWorkerRejects(t *testing.T) {
 	go func() { defer close(serveDone); srv.Serve(ln) }()
 	addr := ln.Addr().String()
 
-	// A live worker rejects a legacy (non-registration) hello by version.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
+	// A live worker refuses every hello but a registration by version:
+	// a holder's join or resume, and a foreign version byte.
+	for _, tc := range []struct {
+		what  string
+		hello *netid.Hello
+		raw   []byte
+	}{
+		{what: "join", hello: &netid.Hello{Name: "A", Session: "s", Lane: 1}},
+		{what: "resume", hello: &netid.Hello{Name: TPName, Session: "s", Purpose: netid.PurposeResume, Lane: 1, Epoch: 1}},
+		{what: "foreign version", raw: []byte{0xFF, netid.Version + 1, 2, 2, 'T', 'P', 0, 1}},
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		if tc.hello != nil {
+			err = netid.SendHello(conn, *tc.hello, 5*time.Second)
+		} else {
+			_, err = conn.Write(tc.raw)
+		}
+		if err != nil {
+			t.Fatalf("%s hello: %v", tc.what, err)
+		}
+		_, err = netid.AwaitGrant(conn, 5*time.Second)
+		var rej *netid.RejectedError
+		if !errors.As(err, &rej) || rej.Code != netid.RejectVersion {
+			t.Fatalf("%s hello to a shard worker: want RejectVersion, got %v", tc.what, err)
+		}
+		conn.Close()
 	}
-	if err := netid.AnnounceResume(conn, TPName, "s", 0, 1, 0, 0); err != nil {
-		t.Fatalf("announce: %v", err)
-	}
-	_, _, err = netid.AwaitResumeGrant(conn, 5*time.Second)
-	var rej *netid.RejectedError
-	if !errors.As(err, &rej) || rej.Code != netid.RejectVersion {
-		t.Fatalf("v3 hello to a shard worker: want RejectVersion, got %v", err)
-	}
-	conn.Close()
 
 	srv.Close()
 	<-serveDone
@@ -600,7 +616,7 @@ func TestCheckSliceRange(t *testing.T) {
 
 // benchShardProcSession runs one full session whose K shard pipelines
 // live behind the cross-process control protocol — real localhost TCP,
-// v4 registration, AES-GCM worker links — against in-process
+// registration hellos, AES-GCM worker links — against in-process
 // ShardServers (the protocol cost without subprocess spawn noise).
 func benchShardProcSession(b *testing.B, k int) {
 	parts := pairCapParts(b, 400, 400)

@@ -1,10 +1,10 @@
 package party
 
 // Cross-process TP shards: the worker side. A ppc-shard process runs one
-// ShardServer; each coordinator registration (netid v4 hello) starts one
-// shardRun, which receives the slice offer, rebuilds the shard pipeline
-// (shardCore) from it, feeds the relayed holder frames through demuxes
-// with the shared lane quotas, and returns the finished slices. The
+// ShardServer; each coordinator registration (a netid register hello)
+// starts one shardRun, which receives the slice offer, rebuilds the shard
+// pipeline (shardCore) from it, feeds the relayed holder frames through
+// demuxes with the shared lane quotas, and returns the finished slices. The
 // worker holds no durable state: a registration always answers with
 // watermarks (0, 0), and a re-registration for the same (session, shard)
 // supersedes the previous run — the coordinator replays the stream from
@@ -159,19 +159,20 @@ func (s *ShardServer) Close() {
 	s.wg.Wait()
 }
 
-// handle runs one registration: v4 hello, unconditional (0, 0) grant, key
-// agreement, then the run loop until the coordinator finishes, aborts, or
-// the link dies.
+// handle runs one registration: registration hello, unconditional
+// {1, 0, 0} grant, key agreement, then the run loop until the coordinator
+// finishes, aborts, or the link dies.
 func (s *ShardServer) handle(conn net.Conn) {
-	conn.SetDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
-	hello, err := netid.AcceptHello(conn)
+	hello, err := netid.ReadHello(conn, s.cfg.HandshakeTimeout)
 	if err != nil {
 		conn.Close()
 		return
 	}
-	if !hello.ShardRegistration() || hello.Lane == 0 {
+	conn.SetDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
+	if hello.Version != netid.Version || !hello.ShardRegistration() || hello.Lane == 0 {
 		s.cfg.Logf("event=shard-reject reason=version remote=%s", conn.RemoteAddr())
-		netid.SendReject(conn, netid.RejectVersion, "shard worker accepts the v4 shard-registration hello only")
+		netid.SendReject(conn, netid.RejectVersion, fmt.Sprintf(
+			"shard worker accepts only the version-%d shard-registration hello", netid.Version))
 		conn.Close()
 		return
 	}
@@ -184,11 +185,11 @@ func (s *ShardServer) handle(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	// The grant is unconditionally (0, 0): a worker is always fresh for a
-	// registration. Whatever a previous generation or a severed link
-	// accumulated is unusable after the coordinator's full replay, so
-	// there are no watermarks to reconcile.
-	if err := netid.SendAcceptResume(conn, 0, 0); err != nil {
+	// The grant is unconditionally {1, 0, 0}: a worker is one shard and
+	// always fresh for a registration. Whatever a previous generation or a
+	// severed link accumulated is unusable after the coordinator's full
+	// replay, so there are no watermarks to reconcile.
+	if err := netid.SendGrant(conn, netid.Grant{Shards: 1}); err != nil {
 		conn.Close()
 		return
 	}

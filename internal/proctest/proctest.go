@@ -2,7 +2,7 @@
 // the real ppc-shard worker binary once, spawns worker subprocesses on
 // localhost TCP, and drives sessions whose coordinator lives in the test
 // process while the shard stage pipelines run in the spawned workers —
-// the full cross-process control protocol (v4 registration, slice offer,
+// the full cross-process control protocol (registration hello, slice offer,
 // frame relay, heartbeats, done/abort) over real process and socket
 // boundaries.
 //

@@ -125,7 +125,7 @@ func assertSame(t *testing.T, label string, want, got *party.SessionOutcome) {
 }
 
 // dialerFor builds the coordinator's ShardDialFunc over a worker address
-// list: TCP dial, v4 registration hello, watermark grant. addr is read
+// list: TCP dial, registration hello, watermark grant. addr is read
 // per dial so a respawned worker on the same address is reached
 // transparently.
 func dialerFor(session string, addrs []string) party.ShardDialFunc {

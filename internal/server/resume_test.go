@@ -28,8 +28,8 @@ func (r *resumeResponder) Accept(shards int) error {
 	return errors.New("resume hello got a plain accept")
 }
 
-func (r *resumeResponder) AcceptResume(sent, recv uint64) error {
-	r.grant <- party.ResumeGrant{Sent: sent, Recv: recv}
+func (r *resumeResponder) AcceptResume(g netid.Grant) error {
+	r.grant <- party.ResumeGrant{Sent: g.Sent, Recv: g.Recv}
 	return nil
 }
 
@@ -39,13 +39,13 @@ func (r *resumeResponder) Reject(code netid.RejectCode, detail string) error {
 }
 
 // managerRedial is the holder-side dialer for in-process manager tests: a
-// redial becomes a fresh pipe submitted as a version-3 resume hello, and
+// redial becomes a fresh pipe submitted as a resume hello, and
 // the grant (or typed refusal) comes back through the responder.
 func managerRedial(m *Manager, session string) party.RedialFunc {
 	return func(_ context.Context, holder string, lane int, st party.ResumeState) (wire.Conduit, party.ResumeGrant, error) {
 		hc, sc := wire.Pipe()
 		r := newResumeResponder()
-		m.Submit(netid.Hello{Name: holder, Session: session, Version: netid.VersionResume,
+		m.Submit(netid.Hello{Name: holder, Session: session, Version: netid.Version, Purpose: netid.PurposeResume,
 			Lane: lane, Epoch: st.Epoch, Sent: st.Sent, Recv: st.Recv}, sc, r)
 		select {
 		case g := <-r.grant:
@@ -101,7 +101,7 @@ func resumeManager(t *testing.T, window time.Duration) (*Manager, *completions) 
 
 // TestManagerResumeRoundTrip is the server-level differential: a tenant
 // whose holder-A lane flaps mid-stream redials through the manager's
-// version-3 resume path and the session completes with a report identical
+// resume path and the session completes with a report identical
 // to the same tenant run fault-free, with the reconnect counters moved.
 func TestManagerResumeRoundTrip(t *testing.T) {
 	defer leakcheck.Check(t)
@@ -201,7 +201,7 @@ func TestManagerResumeRefusals(t *testing.T) {
 	hc, sc := wire.Pipe()
 	defer hc.Close()
 	r := newResumeResponder()
-	m.Submit(netid.Hello{Name: "A", Session: "ghost", Version: netid.VersionResume, Epoch: 1}, sc, r)
+	m.Submit(netid.Hello{Name: "A", Session: "ghost", Version: netid.Version, Purpose: netid.PurposeResume, Epoch: 1}, sc, r)
 	select {
 	case err := <-r.rej:
 		var rej *netid.RejectedError
@@ -224,7 +224,7 @@ func TestManagerResumeRefusals(t *testing.T) {
 	hc2, sc2 := wire.Pipe()
 	defer hc2.Close()
 	r2 := newResumeResponder()
-	m.Submit(netid.Hello{Name: "A", Session: "live", Version: netid.VersionResume, Epoch: 1}, sc2, r2)
+	m.Submit(netid.Hello{Name: "A", Session: "live", Version: netid.Version, Purpose: netid.PurposeResume, Epoch: 1}, sc2, r2)
 	select {
 	case err := <-r2.rej:
 		var rej *netid.RejectedError

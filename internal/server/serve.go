@@ -29,7 +29,7 @@ type ServeConfig struct {
 	MaxAcceptRetries int
 	// AcceptBackoff is the sleep between Accept retries (default 100ms).
 	AcceptBackoff time.Duration
-	// ResponseTimeout bounds each admission response write (default 5s).
+	// ResponseTimeout bounds each grant or reject write (default 5s).
 	ResponseTimeout time.Duration
 }
 
@@ -87,7 +87,7 @@ func (m *Manager) Serve(ln net.Listener, sc ServeConfig) error {
 		wg.Add(1)
 		go func(conn net.Conn) {
 			defer wg.Done()
-			hello, err := netid.AcceptHelloWithin(conn, sc.HandshakeTimeout)
+			hello, err := netid.ReadHello(conn, sc.HandshakeTimeout)
 			<-sem
 			if err != nil {
 				m.logf("event=handshake-failed remote=%s err=%q", conn.RemoteAddr(), err)
@@ -100,64 +100,44 @@ func (m *Manager) Serve(ln net.Listener, sc ServeConfig) error {
 }
 
 // SubmitConn adapts one TCP connection whose hello is already read into
-// the manager: the conn becomes a pooled TCP conduit and, for extended
-// hellos, the admission response is written back on the same socket under
-// responseTimeout. Legacy hellos are owed no response and get none.
+// the manager: the conn becomes a pooled TCP conduit and the reply to the
+// hello — grant or reject — is written back on the same socket under
+// responseTimeout.
 func (m *Manager) SubmitConn(hello netid.Hello, conn net.Conn, responseTimeout time.Duration) {
-	var r Responder
-	if hello.Extended() {
-		r = &connResponder{conn: conn, timeout: responseTimeout,
-			routing: hello.Version >= netid.VersionSharded}
-	}
-	m.Submit(hello, wire.TCPPooled(conn), r)
+	m.Submit(hello, wire.TCPPooled(conn), &connResponder{conn: conn, timeout: responseTimeout})
 }
 
-// connResponder writes netid admission responses on a net.Conn under a
-// write deadline, cleared after the accept so the session owns the
-// connection's timeout policy. routing selects the version-2 accept form,
-// which carries the session's shard count.
+// connResponder writes netid replies on a net.Conn under a write
+// deadline, cleared after a grant so the session owns the connection's
+// timeout policy.
 type connResponder struct {
 	conn    net.Conn
 	timeout time.Duration
-	routing bool
 }
 
-func (r *connResponder) deadline() time.Time {
-	if r.timeout <= 0 {
-		return time.Time{}
+// send writes one reply under the response deadline.
+func (r *connResponder) send(write func() error) error {
+	deadline := time.Time{}
+	if r.timeout > 0 {
+		deadline = time.Now().Add(r.timeout)
 	}
-	return time.Now().Add(r.timeout)
+	if err := r.conn.SetWriteDeadline(deadline); err != nil {
+		return err
+	}
+	if err := write(); err != nil {
+		return err
+	}
+	return r.conn.SetWriteDeadline(time.Time{})
 }
 
 func (r *connResponder) Accept(shards int) error {
-	if err := r.conn.SetWriteDeadline(r.deadline()); err != nil {
-		return err
-	}
-	var err error
-	if r.routing {
-		err = netid.SendAcceptRouting(r.conn, shards)
-	} else {
-		err = netid.SendAccept(r.conn)
-	}
-	if err != nil {
-		return err
-	}
-	return r.conn.SetWriteDeadline(time.Time{})
+	return r.send(func() error { return netid.SendGrant(r.conn, netid.Grant{Shards: shards}) })
 }
 
-func (r *connResponder) AcceptResume(sent, recv uint64) error {
-	if err := r.conn.SetWriteDeadline(r.deadline()); err != nil {
-		return err
-	}
-	if err := netid.SendAcceptResume(r.conn, sent, recv); err != nil {
-		return err
-	}
-	return r.conn.SetWriteDeadline(time.Time{})
+func (r *connResponder) AcceptResume(g netid.Grant) error {
+	return r.send(func() error { return netid.SendGrant(r.conn, g) })
 }
 
 func (r *connResponder) Reject(code netid.RejectCode, detail string) error {
-	if err := r.conn.SetWriteDeadline(r.deadline()); err != nil {
-		return err
-	}
-	return netid.SendReject(r.conn, code, detail)
+	return r.send(func() error { return netid.SendReject(r.conn, code, detail) })
 }

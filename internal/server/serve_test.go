@@ -46,8 +46,8 @@ func startServe(t *testing.T, m *Manager, sc ServeConfig) (string, func()) {
 }
 
 // runTCPSession drives one complete tenant session against a served
-// address: each holder dials, announces with the extended hello, waits for
-// its admission accept, then runs the party protocol with the TCP conduit
+// address: each holder dials, sends its hello, waits for its grant, then
+// runs the party protocol with the TCP conduit
 // to the TP and an in-memory pipe to its peer.
 func runTCPSession(t *testing.T, addr, session string) <-chan error {
 	t.Helper()
@@ -61,12 +61,12 @@ func runTCPSession(t *testing.T, addr, session string) <-chan error {
 			errs <- err
 			return
 		}
-		if err := netid.AnnounceSessionWithin(conn, name, session, 5*time.Second); err != nil {
+		if err := netid.SendHello(conn, netid.Hello{Name: name, Session: session}, 5*time.Second); err != nil {
 			conn.Close()
 			errs <- err
 			return
 		}
-		if err := netid.AwaitAdmission(conn, 30*time.Second); err != nil {
+		if _, err := netid.AwaitGrant(conn, 30*time.Second); err != nil {
 			conn.Close()
 			errs <- err
 			return
@@ -128,76 +128,97 @@ func TestServeSilentConnDoesNotBlockOthers(t *testing.T) {
 	}
 }
 
-// TestServeLegacyHelloOverTCP: a pre-extension client (legacy hello, no
-// admission read) still completes against the multi-tenant server.
+// TestServeLegacyHelloOverTCP: a pre-hello client's name-only preamble is
+// not a hello, so the server closes it without starting a session; a
+// holder that names no session sends the one hello for the default
+// session and completes.
 func TestServeLegacyHelloOverTCP(t *testing.T) {
 	defer leakcheck.Check(t)
 	m, done := newManager(t, Config{MaxSessions: 1})
 	addr, stop := startServe(t, m, ServeConfig{})
 
-	tables := testTables()
-	random := sessionRandom("")
-	ab, ba := wire.Pipe()
-	errs := make(chan error, 2)
-	run := func(name, peer string, hh wire.Conduit) {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			errs <- err
-			return
-		}
-		if err := netid.AnnounceWithin(conn, name, 5*time.Second); err != nil {
-			conn.Close()
-			errs <- err
-			return
-		}
-		tp := wire.TCPPooled(conn)
-		defer tp.Close()
-		h, err := party.NewHolder(name, tables[name], roster, testSession(), party.ClusterRequest{K: 2},
-			map[string]wire.Conduit{party.TPName: tp, peer: hh}, random(name))
-		if err != nil {
-			errs <- err
-			return
-		}
-		_, err = h.Run()
-		errs <- err
+	legacy, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	go run("A", "B", ab)
-	go run("B", "A", ba)
-	if err := errors.Join(<-errs, <-errs); err != nil {
-		t.Fatalf("legacy session: %v", err)
+	defer legacy.Close()
+	if _, err := legacy.Write([]byte{1, 'A'}); err != nil {
+		t.Fatal(err)
 	}
-	ab.Close()
-	ba.Close()
+	legacy.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if n, err := legacy.Read(make([]byte, 1)); err == nil {
+		t.Fatalf("legacy preamble answered with %d bytes, want a close", n)
+	}
+	if m.Metrics().Active() != 0 {
+		t.Fatal("legacy preamble started a session")
+	}
+
+	if err := awaitHolders(t, runTCPSession(t, addr, "")); err != nil {
+		t.Fatalf("default session: %v", err)
+	}
 	if out := done.next(t); out.id != "" || out.err != nil {
-		t.Fatalf("legacy completion id=%q err=%v", out.id, out.err)
+		t.Fatalf("default-session completion id=%q err=%v", out.id, out.err)
 	}
 	stop()
 }
 
-// TestServeFutureVersionRejectedOverTCP: a hello from a newer protocol
-// version gets the typed version refusal on the wire, not a hang or a
-// silent close.
+// TestServeFutureVersionRejectedOverTCP: every hello the server cannot
+// serve gets its typed refusal on the wire, not a hang or a silent close —
+// a foreign version byte and a shard registration by version, a lane past
+// the session's shards by session, a resume of no running session by
+// resume — and a draining server refuses with the one retryable code.
 func TestServeFutureVersionRejectedOverTCP(t *testing.T) {
 	defer leakcheck.Check(t)
 	m, _ := newManager(t, Config{MaxSessions: 1})
 	addr, stop := startServe(t, m, ServeConfig{})
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	refusal := func(write func(net.Conn) error) *netid.RejectedError {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := write(conn); err != nil {
+			t.Fatal(err)
+		}
+		_, err = netid.AwaitGrant(conn, 10*time.Second)
+		var rej *netid.RejectedError
+		if !errors.As(err, &rej) {
+			t.Fatalf("reply %v, want a typed refusal", err)
+		}
+		return rej
 	}
-	defer conn.Close()
-	// Hand-rolled extended hello claiming one version past the newest the
-	// protocol defines anywhere (version 4 exists, but only on
-	// coordinator↔shard-worker links — the server refuses it by number).
-	frame := []byte{0xFF, byte(netid.VersionShardProc + 1), 1, 'A', 2, 's', '9'}
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
+	hello := func(h netid.Hello) func(net.Conn) error {
+		return func(c net.Conn) error { return netid.SendHello(c, h, 5*time.Second) }
 	}
-	err = netid.AwaitAdmission(conn, 10*time.Second)
-	var rej *netid.RejectedError
-	if !errors.As(err, &rej) || rej.Code != netid.RejectVersion {
-		t.Fatalf("admission result %v, want version rejection", err)
+	for _, tc := range []struct {
+		what  string
+		write func(net.Conn) error
+		want  netid.RejectCode
+	}{
+		{"older version", func(c net.Conn) error {
+			_, err := c.Write([]byte{0xFF, 4, 1, 'A', 2, 's', '9', 0})
+			return err
+		}, netid.RejectVersion},
+		{"newer version", func(c net.Conn) error {
+			_, err := c.Write([]byte{0xFF, netid.Version + 1, 0, 1, 'A', 0})
+			return err
+		}, netid.RejectVersion},
+		{"registration", hello(netid.Hello{Name: "A", Session: "s9", Purpose: netid.PurposeRegister, Lane: 1}), netid.RejectVersion},
+		{"lane past K", hello(netid.Hello{Name: "A", Session: "s9", Lane: 2}), netid.RejectSession},
+		{"resume of no session", hello(netid.Hello{Name: "A", Session: "s9", Purpose: netid.PurposeResume, Epoch: 1}), netid.RejectResume},
+	} {
+		if rej := refusal(tc.write); rej.Code != tc.want || rej.Retryable() {
+			t.Fatalf("%s: refused with %v (retryable %v), want %v", tc.what, rej.Code, rej.Retryable(), tc.want)
+		}
+	}
+
+	if err := m.Drain(contextWithTimeout(t, 10*time.Second)); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if rej := refusal(hello(netid.Hello{Name: "A", Session: "s9"})); rej.Code != netid.RejectDraining || !rej.Retryable() {
+		t.Fatalf("draining server refused with %v (retryable %v)", rej.Code, rej.Retryable())
 	}
 	stop()
 }

@@ -1,6 +1,6 @@
 // Package server is the multi-tenant third-party service: a session
 // manager that runs many concurrent ppclust sessions on one listener,
-// keyed by the session ID of the extended netid hello. Holders announcing
+// keyed by the session ID of the netid hello. Holders announcing
 // the same session ID are matched into one session, each session runs its
 // own party.ThirdParty under the PR 6 lifecycle guards, and the manager
 // enforces admission control (bounded queue, then typed refusal — never a
@@ -20,7 +20,7 @@
 //	            released, the next pending session promoted
 //
 // See docs/ARCHITECTURE.md ("Multi-tenant TP server") for the budget
-// formula and drain semantics, and docs/WIRE.md for the extended hello and
+// formula and drain semantics, and docs/WIRE.md for the hello, grant and
 // reject frame this package speaks through internal/netid.
 package server
 
@@ -49,16 +49,14 @@ type Config struct {
 	// Session is the shared session agreement (schema, variant, chunking,
 	// timeouts, TP shard count) each per-session ThirdParty runs under.
 	// When Session.TPShards > 1 the server serves the sharded third party:
-	// every holder must announce a version-2 hello on its control
-	// connection — the routing admission carries the shard count — and
-	// then dial one version-2 connection per shard lane. Version-0/1
-	// holders are admitted only when TPShards <= 1 (they cannot read the
-	// routing preamble); see docs/WIRE.md for the compatibility matrix.
+	// the grant on a holder's control connection carries the shard count,
+	// and the holder then dials one more connection per shard lane (the
+	// hello's lane byte names it; see docs/WIRE.md).
 	Session party.Config
 	// ShardAddrs, when set, moves the session shard pipelines out of this
 	// process: entry s is the listen address of a ppc-shard worker serving
 	// shard s, and every session's coordinator dials its slice ranges there
-	// through the v4 shard-registration handshake instead of running
+	// through the shard-registration hello instead of running
 	// in-process shard goroutines. Requires Session.TPShards > 1 and
 	// exactly one address per shard. Holder-facing admission is unchanged
 	// — holders still dial their K shard lanes to this server; only the
@@ -146,7 +144,7 @@ type session struct {
 	order  []string // conduit keys in join order, for deterministic replies
 	gather *time.Timer
 	// tp is the running ThirdParty, published under m.mu once the session
-	// goroutine constructs it; the resume path validates version-3 hellos
+	// goroutine constructs it; the resume path validates resume hellos
 	// against it. Nil while gathering and after done.
 	tp *party.ThirdParty
 	// resumed collects replacement conduits granted to reconnecting
@@ -155,36 +153,33 @@ type session struct {
 }
 
 // tenantConn is one holder's connection into a session: the metered
-// conduit the ThirdParty will run over and the pending admission reply
-// (nil for legacy hellos, which are owed no response). accepted records
-// that the admission accept has been sent — a sharded session answers its
-// connections at join time (the routing accept is what tells a holder to
-// dial its shard lanes), and an accepted connection can no longer be sent
-// a reject frame, only closed.
+// conduit the ThirdParty will run over and the pending admission reply.
+// accepted records that the grant has been sent — a sharded session
+// answers its connections at join time (the grant's shard count is what
+// tells a holder to dial its shard lanes), and an accepted connection can
+// no longer be sent a reject frame, only closed.
 type tenantConn struct {
 	conduit  wire.Conduit
 	respond  Responder
 	accepted bool
 }
 
-// Responder delivers the admission decision on one extended-hello
-// connection's transport. Accept carries the session's TP shard count
-// (rendered as the routing admission for version-2 hellos, the plain
-// accept for version-1) and is followed by the session handshake on the
-// same connection; Reject is terminal — the manager closes the conduit
-// after it. A nil Responder (legacy hello) is owed no response.
+// Responder delivers the admission decision on one connection's
+// transport. Accept carries the session's TP shard count (the grant) and
+// is followed by the session handshake on the same connection; Reject is
+// terminal — the manager closes the conduit after it.
 type Responder interface {
 	Accept(shards int) error
 	Reject(code netid.RejectCode, detail string) error
 }
 
 // ResumeResponder is the additional capability a Responder needs to grant
-// a version-3 resume hello: the grant carries the server's own frame
+// a resume hello: the grant also carries the server's own frame
 // watermarks for the severed lane, so the holder knows where to restart
-// its streams. Responders lacking it (or nil legacy responders) make the
-// resume unanswerable and the hello is refused.
+// its streams. Responders lacking it make the resume unanswerable and the
+// hello is refused.
 type ResumeResponder interface {
-	AcceptResume(sent, recv uint64) error
+	AcceptResume(g netid.Grant) error
 }
 
 // New validates the configuration and returns an idle Manager.
@@ -258,11 +253,11 @@ func (m *Manager) logf(format string, args ...any) {
 	}
 }
 
-// refuseConn answers one connection with a typed refusal (when a reply is
-// owed) and closes its conduit. Called with m.mu NOT held — replies may
-// block on a slow client's socket.
+// refuseConn answers one connection with a typed refusal (unless it was
+// already granted) and closes its conduit. Called with m.mu NOT held —
+// replies may block on a slow client's socket.
 func (m *Manager) refuseConn(tc *tenantConn, code netid.RejectCode, detail string) {
-	if tc.respond != nil && !tc.accepted {
+	if !tc.accepted {
 		_ = tc.respond.Reject(code, detail)
 	}
 	_ = tc.conduit.Close()
@@ -295,7 +290,8 @@ func (m *Manager) refuseSession(s *session, code netid.RejectCode, detail string
 // starts. Submit never blocks on admission — a queued session's
 // connections simply wait, bounded by the dialer's own admission-response
 // patience and the gather timer. The manager owns c from this call on:
-// it is closed after the session runs, or with the refusal.
+// it is closed after the session runs, or with the refusal. respond must
+// be non-nil: every hello is answered.
 func (m *Manager) Submit(hello netid.Hello, c wire.Conduit, respond Responder) {
 	metered := wire.Meter(c, &m.metrics.Wire)
 	if hello.Lane > 0 && hello.Lane <= len(m.metrics.shardWire) {
@@ -304,22 +300,16 @@ func (m *Manager) Submit(hello netid.Hello, c wire.Conduit, respond Responder) {
 		metered = wire.Meter(metered, &m.metrics.shardWire[hello.Lane-1])
 	}
 	tc := &tenantConn{conduit: metered, respond: respond}
-	if hello.Version > netid.VersionResume {
+	switch {
+	case hello.Version != netid.Version:
 		m.refuse(hello, tc, netid.RejectVersion,
-			fmt.Sprintf("hello version %d, server speaks up to %d", hello.Version, netid.VersionResume))
+			fmt.Sprintf("hello version %d, server speaks version %d", hello.Version, netid.Version))
 		return
-	}
-	if hello.Resume() {
+	case hello.ShardRegistration():
+		m.refuse(hello, tc, netid.RejectVersion, "shard registrations are served by shard workers, not the third party")
+		return
+	case hello.Resume():
 		m.resume(hello, tc)
-		return
-	}
-	if m.shards > 1 && hello.Version < netid.VersionSharded {
-		// A pre-shard holder cannot read the routing admission, so it could
-		// never establish its shard lanes; refuse it descriptively instead
-		// of wedging the gather.
-		m.refuse(hello, tc, netid.RejectVersion,
-			fmt.Sprintf("server shards the third party %d ways; announce a version-%d hello",
-				m.shards, netid.VersionSharded))
 		return
 	}
 	if !contains(m.cfg.Holders, hello.Name) {
@@ -364,19 +354,19 @@ func (m *Manager) Submit(hello netid.Hello, c wire.Conduit, respond Responder) {
 		m.startLocked(s)
 	} else if s.state == stateGathering {
 		// Sharded sessions answer their connections as they join: the
-		// routing accept is what tells a holder to dial its shard lanes, so
-		// deferring it to the full roster would deadlock the gather. The
-		// accepts are sent outside the lock; a session that completes on
-		// this join instead leaves them to runSession, which sends every
-		// outstanding accept before the handshake — never concurrently with
-		// it.
+		// grant's shard count is what tells a holder to dial its shard
+		// lanes, so deferring it to the full roster would deadlock the
+		// gather. The accepts are sent outside the lock; a session that
+		// completes on this join instead leaves them to runSession, which
+		// sends every outstanding accept before the handshake — never
+		// concurrently with it.
 		accepts = m.pendingAcceptsLocked(s)
 	}
 	m.mu.Unlock()
 	m.sendAccepts(accepts)
 }
 
-// resume handles a version-3 resume hello: a holder redialing a severed
+// resume handles a resume hello: a holder redialing a severed
 // lane of a running session. The manager validates against the session's
 // live ThirdParty (which owns the per-lane watermarks and the reconnect
 // window), answers with a resume grant carrying the server's own
@@ -422,7 +412,7 @@ func (m *Manager) resume(hello netid.Hello, tc *tenantConn) {
 		return
 	}
 	grant := ticket.Grant()
-	if err := rr.AcceptResume(grant.Sent, grant.Recv); err != nil {
+	if err := rr.AcceptResume(netid.Grant{Shards: m.shards, Sent: grant.Sent, Recv: grant.Recv}); err != nil {
 		// The grant never reached the holder, so it will redial; put the
 		// lane back the way Resume found it by failing this attempt.
 		ticket.Abandon()
@@ -451,14 +441,14 @@ func (m *Manager) resume(hello netid.Hello, tc *tenantConn) {
 
 // pendingAcceptsLocked collects (and marks) the unanswered accepts of a
 // gathering sharded session, with m.mu held. Single-TP sessions defer all
-// accepts to runSession, preserving the legacy reply timing.
+// accepts to runSession: they are granted when the gather completes.
 func (m *Manager) pendingAcceptsLocked(s *session) []*tenantConn {
 	if m.shards <= 1 {
 		return nil
 	}
 	var out []*tenantConn
 	for _, key := range s.order {
-		if tc := s.conns[key]; tc.respond != nil && !tc.accepted {
+		if tc := s.conns[key]; !tc.accepted {
 			tc.accepted = true
 			out = append(out, tc)
 		}
@@ -606,7 +596,7 @@ func (m *Manager) startLocked(s *session) {
 func (m *Manager) runSession(s *session) {
 	defer m.wg.Done()
 	for _, name := range s.order {
-		if tc := s.conns[name]; tc.respond != nil && !tc.accepted {
+		if tc := s.conns[name]; !tc.accepted {
 			if err := tc.respond.Accept(m.shards); err != nil {
 				// A broken admission reply means a broken connection; the
 				// session handshake on it will fail and classify the session.

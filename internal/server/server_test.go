@@ -538,35 +538,12 @@ func TestUnknownDuplicateAndVersionRefusals(t *testing.T) {
 	c3, s3 := wire.Pipe()
 	defer c3.Close()
 	r3 := newPipeResponder()
-	m.Submit(netid.Hello{Name: "B", Session: "s2", Version: netid.VersionResume + 1}, s3, r3)
+	m.Submit(netid.Hello{Name: "B", Session: "s2", Version: netid.Version + 1}, s3, r3)
 	rej := expectReject(t, r3, netid.RejectVersion)
-	if !strings.Contains(rej.Detail, "server speaks up to") {
+	if !strings.Contains(rej.Detail, "server speaks version") {
 		t.Fatalf("version detail %q", rej.Detail)
 	}
 	if m.Metrics().Refused() != 3 {
 		t.Fatalf("refused = %d, want 3", m.Metrics().Refused())
-	}
-}
-
-// TestLegacyHelloDefaultSession: legacy hellos (no session ID, no
-// admission response owed) land in the default "" session and the session
-// runs exactly as before the extension.
-func TestLegacyHelloDefaultSession(t *testing.T) {
-	defer leakcheck.Check(t)
-	m, done := newManager(t, Config{MaxSessions: 1})
-
-	te := newTenant(t, "")
-	m.Submit(netid.Hello{Name: "A"}, te.server["A"], nil)
-	m.Submit(netid.Hello{Name: "B"}, te.server["B"], nil)
-	holders := te.runHolders(testSession())
-	if err := awaitHolders(t, holders); err != nil {
-		t.Fatalf("legacy holders: %v", err)
-	}
-	out := done.next(t)
-	if out.id != "" || out.err != nil {
-		t.Fatalf("legacy completion id=%q err=%v", out.id, out.err)
-	}
-	if len(out.report.ObjectIDs) != 5 {
-		t.Fatalf("legacy session saw %d objects", len(out.report.ObjectIDs))
 	}
 }

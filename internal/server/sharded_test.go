@@ -52,12 +52,10 @@ func newShardedTenant(t *testing.T, id string, k int) *shardedTenant {
 	return st
 }
 
-// submitAllSharded submits every holder's control and shard lanes with
-// version-2 hellos.
+// submitAllSharded submits every holder's control and shard lanes.
 func (st *shardedTenant) submitAllSharded(m *Manager) {
 	for _, h := range roster {
 		hello := st.hello(h)
-		hello.Version = netid.VersionSharded
 		m.Submit(hello, st.server[h], st.resp[h])
 		for s := 0; s < st.k; s++ {
 			sh := hello
@@ -97,9 +95,9 @@ func (st *shardedTenant) runHoldersSharded(cfg party.Config) <-chan error {
 }
 
 // TestShardedSessionCompletes runs a full tenant session against a K=2
-// sharded server: every lane is admitted with the routing accept, the
-// session completes with the single-TP report, and the per-shard wire
-// counters and shards_active gauge land where documented.
+// sharded server: every lane is granted, the session completes with the
+// single-TP report, and the per-shard wire counters and shards_active
+// gauge land where documented.
 func TestShardedSessionCompletes(t *testing.T) {
 	defer leakcheck.Check(t)
 	const k = 2
@@ -159,9 +157,9 @@ func TestShardedSessionCompletes(t *testing.T) {
 }
 
 // TestShardedServerRefusesPreShardHellos: a server splitting its third
-// party cannot serve holders that predate the routing admission — they
-// could never learn the shard count — so version-0/1 hellos get the typed
-// version refusal, and a shard lane outside the configured range gets the
+// party refuses a hello from a build that predates the one hello — an
+// older version byte, which could never carry a lane — with the typed
+// version refusal, and a shard lane outside the configured range with the
 // session refusal.
 func TestShardedServerRefusesPreShardHellos(t *testing.T) {
 	defer leakcheck.Check(t)
@@ -173,21 +171,21 @@ func TestShardedServerRefusesPreShardHellos(t *testing.T) {
 	t.Cleanup(func() { m.Close() })
 
 	te := newTenant(t, "old")
-	te.submit(m, "A") // version-1 hello
+	m.Submit(netid.Hello{Name: "A", Session: "old", Version: 1}, te.server["A"], te.resp["A"])
 	rej := expectReject(t, te.resp["A"], netid.RejectVersion)
-	if want := "shards the third party 2 ways"; !strings.Contains(rej.Detail, want) {
+	if want := "server speaks version"; !strings.Contains(rej.Detail, want) {
 		t.Fatalf("version refusal detail %q does not mention %q", rej.Detail, want)
 	}
 
 	c, s := wire.Pipe()
 	defer c.Close()
 	r := newPipeResponder()
-	m.Submit(netid.Hello{Name: "A", Session: "old", Version: netid.VersionSharded, Lane: 3}, s, r)
+	m.Submit(netid.Hello{Name: "A", Session: "old", Version: netid.Version, Lane: 3}, s, r)
 	expectReject(t, r, netid.RejectSession)
 }
 
 // TestShardedGatherSendsEarlyAccepts: in a sharded gather the server must
-// answer each control connection as it joins — the routing accept is what
+// answer each control connection as it joins — the grant is what
 // tells a holder to dial its shard lanes — rather than deferring every
 // accept to the completed roster.
 func TestShardedGatherSendsEarlyAccepts(t *testing.T) {
@@ -207,7 +205,6 @@ func TestShardedGatherSendsEarlyAccepts(t *testing.T) {
 	// Only holder A's control lane joins: with the roster incomplete, the
 	// accept must still arrive so A can dial its shard lanes.
 	helloA := st.hello("A")
-	helloA.Version = netid.VersionSharded
 	m.Submit(helloA, st.server["A"], st.resp["A"])
 	expectAccept(t, st.resp["A"])
 	if active := m.Metrics().Active(); active != 1 {
@@ -220,7 +217,6 @@ func TestShardedGatherSendsEarlyAccepts(t *testing.T) {
 		m.Submit(sh, st.shardServer[party.ShardConduitKey("A", s)], st.shardResp[party.ShardConduitKey("A", s)])
 	}
 	helloB := st.hello("B")
-	helloB.Version = netid.VersionSharded
 	m.Submit(helloB, st.server["B"], st.resp["B"])
 	for s := 0; s < k; s++ {
 		sh := helloB

@@ -13,13 +13,13 @@ import (
 )
 
 // shardDialTimeout bounds each step of the worker registration handshake
-// (the v4 hello and the watermark grant). A worker that cannot answer
+// (the registration hello and the grant). A worker that cannot answer
 // within it is treated as down; the coordinator's redial loop owns the
 // retry policy.
 const shardDialTimeout = 10 * time.Second
 
 // shardDialer builds one session's party.ShardDialFunc over the
-// configured worker pool: TCP dial to ShardAddrs[shard], v4
+// configured worker pool: TCP dial to ShardAddrs[shard],
 // shard-registration hello carrying the session ID and resume state,
 // watermark grant, pooled conduit metered into the worker-link counter.
 // Every error is returned to the coordinator's redial loop, which decides

@@ -27,7 +27,7 @@ type Message struct {
 	Payload []byte
 }
 
-// EncodeBody goby-encodes a payload struct for embedding in a Message.
+// EncodeBody gob-encodes a payload struct for embedding in a Message.
 func EncodeBody(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {

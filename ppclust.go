@@ -275,7 +275,7 @@ type Options struct {
 	// ReconnectWindow arms mid-session reconnect: when positive, a
 	// severed holder↔third-party conduit parks the session in a degraded
 	// state for this grace period instead of aborting it. The third party
-	// accepts a version-3 resume hello for the severed lane within the
+	// accepts a resume hello for the severed lane within the
 	// window (the multi-tenant server routes these automatically), replays
 	// exactly the frames past the peer's installed watermark, and the
 	// session continues bit-identically to a fault-free run. A holder
@@ -322,8 +322,8 @@ var (
 	// ErrSessionRefused classifies typed admission refusals from the
 	// multi-tenant third-party server: the hello was answered with a
 	// ppc/reject frame (capacity, queue-full, budget, draining, version
-	// skew, …) instead of an accept. Holders see it from the admission
-	// wait; the reject frame's reason survives in the error text.
+	// skew, …) instead of a grant. Holders see it from the grant wait;
+	// the reject frame's reason survives in the error text.
 	ErrSessionRefused = netid.ErrRejected
 	// ErrDisconnected classifies unrecoverable mid-session transport
 	// severs: a conduit died after the handshake with no reconnect window

@@ -68,18 +68,18 @@ func cutProxy(t *testing.T, target string, cutAfter int64) string {
 }
 
 // runResumeHolder dials the server (dialAddr may be the cut proxy),
-// performs the versioned admission handshake, and runs a resumable holder
+// performs the hello/grant handshake, and runs a resumable holder
 // session whose redials go straight to tpAddr.
 func runResumeHolder(name, sid, tpAddr, dialAddr string, table *ppclust.Table, peers map[string]net.Conn) (*ppclust.Result, error) {
 	c, err := net.Dial("tcp", dialAddr)
 	if err != nil {
 		return nil, err
 	}
-	if err := netid.AnnounceSessionShardWithin(c, name, sid, -1, 10*time.Second); err != nil {
+	if err := netid.SendHello(c, netid.Hello{Name: name, Session: sid}, 10*time.Second); err != nil {
 		c.Close()
 		return nil, err
 	}
-	if _, err := netid.AwaitAdmissionRouting(c, time.Minute); err != nil {
+	if _, err := netid.AwaitGrant(c, time.Minute); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -105,7 +105,7 @@ func runResumeHolder(name, sid, tpAddr, dialAddr string, table *ppclust.Table, p
 // same tenant session runs twice against one multi-tenant server — once
 // fault-free, once with holder A's connection severed mid-stream by a
 // byte-counting proxy and resumed through NewResumableHolderSession's
-// version-3 redial — and both runs publish identical results.
+// resume redial — and both runs publish identical results.
 func TestTCPResumeFacade(t *testing.T) {
 	schema := facadeSchema()
 	holders := []string{"A", "B"}

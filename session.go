@@ -70,7 +70,7 @@ func NewThirdPartySession(holders []string, schema Schema, opts Options, conns m
 }
 
 // resumeHandshakeTimeout bounds each leg of a resume redial's preamble:
-// the version-3 hello write and the grant (or typed refusal) read. Unlike
+// the resume hello write and the grant (or typed refusal) read. Unlike
 // first admission, a resume is decided immediately — the session is
 // already running — so no gather-window-sized wait is needed.
 const resumeHandshakeTimeout = 30 * time.Second
@@ -87,7 +87,7 @@ type TPDialFunc func(ctx context.Context) (net.Conn, error)
 // announced in the hello to the multi-tenant server) and dialTP opens a
 // fresh connection to that server when a TP lane is severed mid-session.
 // On a sever the session parks degraded, redials through dialTP, performs
-// the version-3 resume handshake (watermarked hello, grant await), and
+// the resume handshake (watermarked hello, grant await), and
 // replays exactly the unacknowledged frames — the run completes
 // bit-identically to a fault-free one. Peer-holder conduits are not
 // resumable; only the holder↔TP lanes are.
@@ -105,7 +105,7 @@ func NewResumableHolderSession(name string, table *Table, holders []string, sche
 }
 
 // tcpRedial adapts a TCP dialer into the session's redial hook: dial,
-// announce the version-3 resume hello for the severed lane, await the
+// announce the resume hello for the severed lane, await the
 // server's watermark grant, and hand the pooled conduit back for replay.
 func tcpRedial(session string, dialTP TPDialFunc) party.RedialFunc {
 	return func(ctx context.Context, holder string, lane int, st party.ResumeState) (wire.Conduit, party.ResumeGrant, error) {
@@ -113,19 +113,20 @@ func tcpRedial(session string, dialTP TPDialFunc) party.RedialFunc {
 		if err != nil {
 			return nil, party.ResumeGrant{}, err
 		}
-		// The hello's shard field follows the announce convention: -1 is
-		// the control conduit, s >= 0 the lane to TP shard s — exactly the
-		// session lane number shifted by one.
-		if err := netid.AnnounceResumeWithin(c, holder, session, lane-1, st.Epoch, st.Sent, st.Recv, resumeHandshakeTimeout); err != nil {
+		// The session lane number is the hello's lane byte: 0 for the
+		// control conduit, s+1 for the lane to TP shard s.
+		hello := netid.Hello{Name: holder, Session: session, Purpose: netid.PurposeResume,
+			Lane: lane, Epoch: st.Epoch, Sent: st.Sent, Recv: st.Recv}
+		if err := netid.SendHello(c, hello, resumeHandshakeTimeout); err != nil {
 			c.Close()
 			return nil, party.ResumeGrant{}, err
 		}
-		sent, recv, err := netid.AwaitResumeGrant(c, resumeHandshakeTimeout)
+		g, err := netid.AwaitGrant(c, resumeHandshakeTimeout)
 		if err != nil {
 			c.Close()
 			return nil, party.ResumeGrant{}, mapResumeReject(err)
 		}
-		return wire.TCPPooled(c), party.ResumeGrant{Sent: sent, Recv: recv}, nil
+		return wire.TCPPooled(c), party.ResumeGrant{Sent: g.Sent, Recv: g.Recv}, nil
 	}
 }
 
@@ -153,7 +154,7 @@ func optRandom(opts Options, name string) io.Reader {
 }
 
 // TPServer is the multi-tenant third-party server: one listener serving
-// many concurrent sessions, keyed by the session ID in the extended hello.
+// many concurrent sessions, keyed by the session ID in the hello.
 // Feed it a listener with Serve, stop it with Drain (graceful: running
 // sessions finish, new arrivals get a retryable refusal) or Close
 // (immediate, classified aborts). See docs/ARCHITECTURE.md ("Multi-tenant
@@ -230,7 +231,7 @@ func NewTPServer(holders []string, schema Schema, opts Options, srv TPServerOpti
 }
 
 // TPShardWorker is one external shard worker: a server that accepts
-// version-4 shard-registration hellos from session coordinators (a
+// shard-registration hellos from session coordinators (a
 // TPServer running with TPServerOptions.ShardAddrs, or cmd/ppc-tp with
 // -shard-addrs) and runs one shard's stage pipeline per registered
 // session. Workers are stateless between registrations — a restarted
