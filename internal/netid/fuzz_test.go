@@ -79,23 +79,22 @@ func FuzzParseHello(f *testing.F) {
 // grant must round-trip through SendGrant, and a typed refusal must stay
 // within the detail bound and classify under ErrRejected.
 func FuzzParseReject(f *testing.F) {
-	for _, write := range []func(*bytes.Buffer) error{
-		func(b *bytes.Buffer) error { return SendGrant(b, Grant{Shards: 1}) },
-		func(b *bytes.Buffer) error { return SendGrant(b, Grant{Shards: 3, Sent: 4321, Recv: 17}) },
-		func(b *bytes.Buffer) error {
-			return SendReject(b, RejectQueueFull, "3 sessions active, queue of 2 full")
-		},
-		func(b *bytes.Buffer) error { return SendReject(b, RejectDraining, "") },
-		func(b *bytes.Buffer) error { return SendReject(b, RejectResume, "watermark behind installed rows") },
-	} {
+	seed := func(write func(*bytes.Buffer) error) {
 		var buf bytes.Buffer
 		if err := write(&buf); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
 	}
+	seed(func(b *bytes.Buffer) error {
+		return SendReject(b, RejectQueueFull, "3 sessions active, queue of 2 full")
+	})
+	seed(func(b *bytes.Buffer) error { return SendReject(b, RejectDraining, "") })
+	seed(func(b *bytes.Buffer) error { return SendReject(b, RejectResume, "watermark behind installed rows") })
 	f.Add([]byte{statusReject, byte(RejectVersion), 0xFF, 0xFF}) // oversized detail length
-	f.Add([]byte{statusGrant, 0})                                // zero shards, truncated
+	seed(func(b *bytes.Buffer) error { return SendGrant(b, Grant{Shards: 1}) })
+	seed(func(b *bytes.Buffer) error { return SendGrant(b, Grant{Shards: 3, Sent: 4321, Recv: 17}) })
+	f.Add([]byte{statusGrant, 0}) // zero shards, truncated
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := parseGrant(bytes.NewReader(data))
 		if err == nil {

@@ -49,24 +49,43 @@ func TestAnnounceAccept(t *testing.T) {
 	}
 }
 
-// TestAnnounceValidation: SendHello refuses, before writing anything, a
-// hello whose name, session, purpose or lane the parser would reject.
-func TestAnnounceValidation(t *testing.T) {
+// refuseHellos asserts that SendHello returns an error for each hello.
+func refuseHellos(t *testing.T, hellos ...Hello) {
+	t.Helper()
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	for _, h := range []Hello{
-		{},
-		{Name: strings.Repeat("x", 65)},
-		{Name: "H", Session: strings.Repeat("s", 65)},
-		{Name: "H", Purpose: PurposeRegister + 1},
-		{Name: "H", Lane: -1},
-		{Name: "H", Lane: MaxShards + 1},
-	} {
+	for _, h := range hellos {
 		if err := SendHello(a, h, time.Second); err == nil {
 			t.Fatalf("hello %+v accepted", h)
 		}
 	}
+}
+
+// TestAnnounceValidation: SendHello refuses an over-long name and a
+// purpose the parser would reject.
+func TestAnnounceValidation(t *testing.T) {
+	refuseHellos(t,
+		Hello{Name: strings.Repeat("x", 65)},
+		Hello{Name: "H", Purpose: PurposeRegister + 1},
+	)
+}
+
+// TestSendHelloSessionValidation: an empty name and an over-long session
+// are refused.
+func TestSendHelloSessionValidation(t *testing.T) {
+	refuseHellos(t,
+		Hello{Session: "s"},
+		Hello{Name: "H", Session: strings.Repeat("s", 65)},
+	)
+}
+
+// TestSendHelloLaneValidation: a lane outside [0, MaxShards] is refused.
+func TestSendHelloLaneValidation(t *testing.T) {
+	refuseHellos(t,
+		Hello{Name: "H", Lane: -1},
+		Hello{Name: "H", Lane: MaxShards + 1},
+	)
 }
 
 // TestAcceptRejectsGarbage: a zero-length name, an unknown purpose, an
