@@ -240,8 +240,9 @@ func TestDefaultSessionHandshakeIsAnswered(t *testing.T) {
 }
 
 // TestPeerHelloIsAnswered: the accepting holder grants an expected peer
-// and refuses an unexpected or duplicate one with a typed reject, which
-// the dialing holder's handshake surfaces.
+// and refuses a non-join hello, a wrong session or lane, and an unexpected
+// or duplicate peer with a typed reject, which the dialing holder's
+// handshake surfaces.
 func TestPeerHelloIsAnswered(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -270,22 +271,31 @@ func TestPeerHelloIsAnswered(t *testing.T) {
 		}
 	}()
 	for _, tc := range []struct {
-		name, session string
-		want          netid.RejectCode
+		hello netid.Hello
+		want  netid.RejectCode
 	}{
-		{"B", "s1", 0},
-		{"B", "s1", netid.RejectDuplicateHolder},
-		{"Z", "s1", netid.RejectUnknownHolder},
-		{"C", "other", netid.RejectSession},
+		{netid.Hello{Name: "B", Session: "s1"}, 0},
+		{netid.Hello{Name: "B", Session: "s1"}, netid.RejectDuplicateHolder},
+		{netid.Hello{Name: "Z", Session: "s1"}, netid.RejectUnknownHolder},
+		{netid.Hello{Name: "C", Session: "other"}, netid.RejectSession},
+		{netid.Hello{Name: "C", Session: "s1", Lane: 1}, netid.RejectSession},
+		{netid.Hello{Name: "C", Session: "s1", Purpose: netid.PurposeResume, Epoch: 1}, netid.RejectVersion},
 	} {
-		c, err := testDialer(1).dial("peer A", ln.Addr().String(), handshake(tc.name, tc.session, 0, time.Second, nil))
+		hs := func(c net.Conn) error {
+			if err := netid.SendHello(c, tc.hello, handshakeTimeout); err != nil {
+				return err
+			}
+			_, err := netid.AwaitGrant(c, time.Second)
+			return err
+		}
+		c, err := testDialer(1).dial("peer A", ln.Addr().String(), hs)
 		out := <-admitted
 		var rej *netid.RejectedError
 		switch {
-		case tc.want == 0 && (err != nil || out.err != nil || out.peer != tc.name):
-			t.Fatalf("%s/%s: dial %v, admit %+v", tc.name, tc.session, err, out)
+		case tc.want == 0 && (err != nil || out.err != nil || out.peer != tc.hello.Name):
+			t.Fatalf("%+v: dial %v, admit %+v", tc.hello, err, out)
 		case tc.want != 0 && (!errors.As(err, &rej) || rej.Code != tc.want):
-			t.Fatalf("%s/%s: dial %v, want %v refusal", tc.name, tc.session, err, tc.want)
+			t.Fatalf("%+v: dial %v, want %v refusal", tc.hello, err, tc.want)
 		}
 		if c != nil {
 			c.Close()
