@@ -275,7 +275,9 @@ func benchFamilies() []struct {
 	// the PR 3 pipeline has no neighboring attribute to overlap with, so
 	// its monolithic local frame serializes holder encode → transfer →
 	// TP decode+install; the chunked rows sweep the LocalChunkBytes knob
-	// and overlap all three inside the transfer window. Reports are
+	// and overlap all three inside the transfer window. The mono rows pass
+	// a 1 GiB chunk budget, past every payload, so each payload travels as
+	// one frame. Reports are
 	// bit-identical across every row (pinned by internal/party's
 	// differential tests); only wall-clock and allocation shape differ.
 	streamSchema := dataset.Schema{Attrs: []dataset.Attribute{{Name: "x", Type: dataset.Numeric}}}
@@ -591,11 +593,11 @@ func benchFamilies() []struct {
 		{"pam-swap/serial", 512, func(b *testing.B) { pamRun(b, 1) }},
 		{"pam-swap/parallel", 512, func(b *testing.B) { pamRun(b, 0) }},
 		{"session-pipeline/pipelined", 75, sessionPipeline},
-		{"session-stream/pipelined-mono", 1206, func(b *testing.B) { sessionStream(b, streamParts, -1) }},
+		{"session-stream/pipelined-mono", 1206, func(b *testing.B) { sessionStream(b, streamParts, 1<<30) }},
 		{"session-stream/chunk-256k", 1206, func(b *testing.B) { sessionStream(b, streamParts, 256<<10) }},
 		{"session-stream/chunk-64k", 1206, func(b *testing.B) { sessionStream(b, streamParts, 64<<10) }},
 		{"session-stream/chunk-4k", 1206, func(b *testing.B) { sessionStream(b, streamParts, 4<<10) }},
-		{"session-stream/both-large-mono", 1200, func(b *testing.B) { sessionStream(b, bothParts, -1) }},
+		{"session-stream/both-large-mono", 1200, func(b *testing.B) { sessionStream(b, bothParts, 1<<30) }},
 		{"session-stream/both-large-chunk-256k", 1200, func(b *testing.B) { sessionStream(b, bothParts, 256<<10) }},
 		{"session-stream/both-large-chunk-64k", 1200, func(b *testing.B) { sessionStream(b, bothParts, 64<<10) }},
 		{"session-multitenant/4x120", 480, func(b *testing.B) { multiTenant(b, 4, 60) }},

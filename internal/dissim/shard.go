@@ -401,21 +401,3 @@ func (a *SliceAssembler) Done() ([]float64, float64, error) {
 	a.done = true
 	return a.cells, a.max, nil
 }
-
-// NormalizeSlice divides every cell of a packed slice by max in place —
-// the shard-local half of the coordinator's merge-then-normalize. The
-// division is element-wise by the same global maximum every shard
-// receives, so concatenating normalized slices is bit-identical to
-// normalizing the concatenated matrix. max <= 0 leaves the slice
-// unchanged, mirroring Normalize on an all-zero matrix.
-func NormalizeSlice(cells []float64, max float64, workers int) {
-	if max <= 0 {
-		return
-	}
-	parallel.Range(parallel.Workers(workers), len(cells), func(_, lo, hi int) {
-		chunk := cells[lo:hi]
-		for i := range chunk {
-			chunk[i] /= max
-		}
-	})
-}

@@ -460,25 +460,3 @@ func TestSetPackedRowsOverwrite(t *testing.T) {
 		t.Fatalf("Max after overwrite = %v, want 4", got)
 	}
 }
-
-// TestNormalizeSliceMatchesNormalize pins that dividing shard slices by
-// the folded global max is bit-identical to normalizing the whole matrix.
-func TestNormalizeSliceMatchesNormalize(t *testing.T) {
-	n := 23
-	whole := FromLocal(n, shardTestDistance)
-	max := whole.Max()
-	sharded := FromLocal(n, shardTestDistance)
-	for _, r := range ShardRanges(n, 4) {
-		cells := append([]float64(nil), sharded.PackedRowsView(r[0], r[1])...)
-		NormalizeSlice(cells, max, 2)
-		merged := New(n)
-		_ = merged
-		copy(sharded.PackedRowsView(r[0], r[1]), cells)
-	}
-	if got := whole.NormalizePar(0); got != max {
-		t.Fatalf("NormalizePar returned %v, want %v", got, max)
-	}
-	if !whole.EqualWithin(sharded, 0) {
-		t.Fatal("slice-wise normalize differs from whole-matrix normalize")
-	}
-}

@@ -32,20 +32,21 @@ type Holder struct {
 	eng     *protocol.Engine
 
 	identity *keys.Identity
-	tp       *wire.Endpoint
-	shards   []*wire.Endpoint // TP shard endpoints; empty on the single-TP path
+	tp       *wire.Endpoint // the control lane
 	peers    map[string]*wire.Endpoint
 	masters  map[string][]byte // pairwise master secrets by peer name
 	counts   map[string]int
 	groupKey detenc.Key
 	guard    *guard
 
-	// Sharded routing, derived from the census (see exchangeCensus):
-	// shardRanges is the global row partition, offset this holder's global
-	// row offset — together they tell the holder which shard owns each of
-	// its rows.
-	shardRanges [][2]int
-	offset      int
+	// lanes carry the comparison chunk frames: the control endpoint at
+	// K=1, the shard endpoints ShardName(0..K−1) at K>1. laneRanges (from
+	// the census, see exchangeCensus) are the global rows each lane owns,
+	// offset this holder's global row offset.
+	lanes      []*wire.Endpoint
+	laneNames  []string
+	laneRanges [][2]int
+	offset     int
 }
 
 // NewHolder prepares a data holder named name holding table, with direct
@@ -114,108 +115,45 @@ func NewHolder(name string, table *dataset.Table, holders []string, cfg Config, 
 }
 
 // handshakeAll exchanges public keys on every conduit, derives the pairwise
-// masters and wraps the conduits in AES-GCM channels.
+// masters and wraps the conduits in AES-GCM channels. Conduits go in a
+// fixed order — holder peers, the TP control conduit, then the shard
+// conduits ascending — the order the third party handshakes them in; both
+// sides send their hello before reading the peer's, so no conduit
+// ordering can deadlock.
 func (h *Holder) handshakeAll(conduits map[string]wire.Conduit) error {
 	var err error
 	h.identity, err = keys.NewIdentity(h.name, h.random)
 	if err != nil {
 		return err
 	}
-	fp := schemaFingerprint(h.cfg.Schema)
-	hello := helloBody{Public: h.identity.PublicBytes(), Fingerprint: fp}
-
-	peerNames := append([]string{}, h.holders...)
-	peerNames = append(peerNames, TPName)
-	for _, peer := range peerNames {
+	hello := helloBody{Public: h.identity.PublicBytes(), Fingerprint: schemaFingerprint(h.cfg.Schema)}
+	for _, peer := range h.holders {
 		if peer == h.name {
 			continue
 		}
-		// bind sits directly on the raw conduit — below the AES-GCM layer —
-		// so a lifecycle cancel closes the real transport and unparks any
-		// blocked read, and every frame either way feeds the watchdog.
-		bound := h.guard.bind(conduits[peer])
-		ep := wire.NewEndpoint(bound)
-		if err := ep.SendBody(wire.Message{From: h.name, To: peer, Kind: kindHello, Attr: -1}, hello); err != nil {
-			return fmt.Errorf("party: %s hello to %s: %w", h.name, peer, err)
-		}
-		var peerHello helloBody
-		if _, err := expectMsg(ep, kindHello, &peerHello); err != nil {
-			return fmt.Errorf("party: %s hello from %s: %w", h.name, peer, err)
-		}
-		if peerHello.Fingerprint != fp {
-			return fmt.Errorf("party: %s and %s disagree on the schema", h.name, peer)
-		}
-		master, err := h.identity.Master(peerHello.Public)
-		if err != nil {
-			return fmt.Errorf("party: %s master with %s: %w", h.name, peer, err)
-		}
-		h.masters[peer] = master
-
-		secured := bound
-		if !h.cfg.PlaintextChannels {
-			key := keys.DeriveKey(master, keys.PurposeChannel, h.name, peer)
-			// Initiator: the lexicographically smaller holder name, or the
-			// holder on a holder-TP link.
-			initiator := peer == TPName || h.name < peer
-			secured, err = wire.Secure(bound, key, initiator)
-			if err != nil {
-				return err
-			}
-		}
-		// The TP control lane (not holder↔holder conduits) is resumable:
-		// the Reconn sits above the channel so a sever parks the lane and
-		// the redial loop replaces the transport underneath the endpoint.
-		if peer == TPName && h.resumable() {
-			secured = h.armResume(secured, peer, 0)
-		}
-		ep = wire.NewEndpoint(secured)
-		if peer == TPName {
-			h.tp = ep
-		} else {
-			h.peers[peer] = ep
+		if h.peers[peer], h.masters[peer], err = h.secureLane(peer, -1, conduits[peer], hello); err != nil {
+			return err
 		}
 	}
-	// Shard conduits, ascending, right after the TP control conduit — the
-	// same order the third party handshakes them in, and both sides send
-	// their hello before reading the peer's, so no conduit ordering can
-	// deadlock. The shards present the TP identity (the master must match
-	// the control conduit's), but each conduit derives its own channel key
-	// salted by the shard name.
+	if h.tp, h.masters[TPName], err = h.secureLane(TPName, 0, conduits[TPName], hello); err != nil {
+		return err
+	}
+	h.lanes, h.laneNames = []*wire.Endpoint{h.tp}, []string{TPName}
 	if k := h.cfg.shardCount(); k > 1 {
-		h.shards = make([]*wire.Endpoint, k)
-		for s := 0; s < k; s++ {
+		h.lanes, h.laneNames = make([]*wire.Endpoint, k), make([]string, k)
+		for s := range h.lanes {
+			// The shards present the TP identity (the master must match the
+			// control conduit's), but each conduit derives its own channel
+			// key salted by the shard name.
 			name := ShardName(s)
-			bound := h.guard.bind(conduits[name])
-			ep := wire.NewEndpoint(bound)
-			if err := ep.SendBody(wire.Message{From: h.name, To: name, Kind: kindHello, Attr: -1}, hello); err != nil {
-				return fmt.Errorf("party: %s hello to %s: %w", h.name, name, err)
-			}
-			var peerHello helloBody
-			if _, err := expectMsg(ep, kindHello, &peerHello); err != nil {
-				return fmt.Errorf("party: %s hello from %s: %w", h.name, name, err)
-			}
-			if peerHello.Fingerprint != fp {
-				return fmt.Errorf("party: %s and %s disagree on the schema", h.name, name)
-			}
-			master, err := h.identity.Master(peerHello.Public)
+			ep, master, err := h.secureLane(name, s+1, conduits[name], hello)
 			if err != nil {
-				return fmt.Errorf("party: %s master with %s: %w", h.name, name, err)
+				return err
 			}
 			if string(master) != string(h.masters[TPName]) {
 				return fmt.Errorf("party: %s presented a different identity than %s", name, TPName)
 			}
-			secured := bound
-			if !h.cfg.PlaintextChannels {
-				key := keys.DeriveKey(master, keys.PurposeChannel, h.name, name)
-				secured, err = wire.Secure(bound, key, true)
-				if err != nil {
-					return err
-				}
-			}
-			if h.resumable() {
-				secured = h.armResume(secured, name, s+1)
-			}
-			h.shards[s] = wire.NewEndpoint(secured)
+			h.lanes[s], h.laneNames[s] = ep, name
 		}
 	}
 	// With every channel established the holder can explain a failure to
@@ -229,6 +167,49 @@ func (h *Holder) handshakeAll(conduits map[string]wire.Conduit) error {
 		sendAbortAll(h.name, eps, reason)
 	})
 	return nil
+}
+
+// secureLane runs the hello exchange on one conduit — holder peer `peer`
+// (lane −1), the TP control conduit (TPName, resume lane 0) or shard
+// conduit s (ShardName(s), lane s+1) — returning the secured endpoint and
+// the conduit's X25519 master. bind sits directly on the raw conduit,
+// below AES-GCM, so a lifecycle cancel closes the real transport and
+// unparks any blocked read, and every frame either way feeds the watchdog.
+// It mirrors ThirdParty.secureLane.
+func (h *Holder) secureLane(peer string, lane int, raw wire.Conduit, hello helloBody) (*wire.Endpoint, []byte, error) {
+	bound := h.guard.bind(raw)
+	ep := wire.NewEndpoint(bound)
+	if err := ep.SendBody(wire.Message{From: h.name, To: peer, Kind: kindHello, Attr: -1}, hello); err != nil {
+		return nil, nil, fmt.Errorf("party: %s hello to %s: %w", h.name, peer, err)
+	}
+	var peerHello helloBody
+	if _, err := expectMsg(ep, kindHello, &peerHello); err != nil {
+		return nil, nil, fmt.Errorf("party: %s hello from %s: %w", h.name, peer, err)
+	}
+	if peerHello.Fingerprint != hello.Fingerprint {
+		return nil, nil, fmt.Errorf("party: %s and %s disagree on the schema", h.name, peer)
+	}
+	master, err := h.identity.Master(peerHello.Public)
+	if err != nil {
+		return nil, nil, fmt.Errorf("party: %s master with %s: %w", h.name, peer, err)
+	}
+	toTP := lane >= 0
+	secured := bound
+	if !h.cfg.PlaintextChannels {
+		// Initiator: the holder on a holder-TP link, else the
+		// lexicographically smaller holder name.
+		key := keys.DeriveKey(master, keys.PurposeChannel, h.name, peer)
+		if secured, err = wire.Secure(bound, key, toTP || h.name < peer); err != nil {
+			return nil, nil, err
+		}
+	}
+	// TP lanes (not holder↔holder conduits) are resumable: the Reconn sits
+	// above the channel so a sever parks the lane and the redial loop
+	// replaces the transport underneath the endpoint.
+	if toTP && h.resumable() {
+		secured = h.armResume(secured, peer, lane)
+	}
+	return wire.NewEndpoint(secured), master, nil
 }
 
 // Run executes the holder's side of the session and returns the clustering
@@ -307,17 +288,37 @@ func (h *Holder) exchangeCensus() error {
 	if h.counts[h.name] != h.table.Len() {
 		return fmt.Errorf("party: census miscounts %s", h.name)
 	}
-	if k := h.cfg.shardCount(); k > 1 {
-		// The census fixes the global row layout, so the shard partition —
-		// identical to the coordinator's — is known from here on.
-		total := 0
-		for i, c := range census.Counts {
-			if i < h.index {
-				h.offset += c
-			}
-			total += c
+	// The census fixes the global row layout, so the lane partition —
+	// identical to the third party's — is known from here on.
+	total := 0
+	for i, c := range census.Counts {
+		if i < h.index {
+			h.offset += c
 		}
-		h.shardRanges = dissim.ShardRanges(total, k)
+		total += c
+	}
+	h.laneRanges = dissim.ShardRanges(total, h.cfg.shardCount())
+	return nil
+}
+
+// streamRows sends one partition-sized payload of n rows — this holder's
+// local triangle or S/M block — to every TP lane whose global row range
+// intersects the holder's rows, cut to that intersection and chunked by
+// sched over it: body builds the frame of one scheduled row range. A lane
+// with an empty intersection receives nothing. The third party derives
+// the identical lanes, intersections and schedules from the census.
+func (h *Holder) streamRows(msg wire.Message, n int, sched func(lo, hi int) [][2]int, body func(ch [2]int) any) error {
+	for s, r := range h.laneRanges {
+		lo, hi := shardRowsOf(r[0], r[1], h.offset, n)
+		if lo >= hi {
+			continue
+		}
+		msg.To = h.laneNames[s]
+		for _, ch := range sched(lo, hi) {
+			if err := h.lanes[s].SendBody(msg, body(ch)); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -422,7 +423,7 @@ func tagBased(t dataset.AttrType) bool {
 // encrypted columns.
 //
 // The triangle streams as a sequence of bounded row-range frames in the
-// localChunks schedule instead of one monolithic body: the third party
+// localChunksRange schedule to the lanes owning its rows: the third party
 // installs each range on arrival — so assembly of this attribute starts
 // while most of the triangle is still on the wire — and no single frame
 // approaches wire.MaxFrame no matter how large the partition is.
@@ -438,33 +439,10 @@ func (h *Holder) sendLocalMatrix(attr int) error {
 		return err
 	}
 	local := dissim.FromLocalPar(h.table.Len(), h.workers, distFn)
-	if len(h.shards) > 0 {
-		// Sharded routing: each shard receives exactly the rows it owns,
-		// chunked by the range-restricted schedule the shard derives too.
-		// Shards the holder's rows don't intersect receive nothing.
-		for s, r := range h.shardRanges {
-			llo, lhi := shardRowsOf(r[0], r[1], h.offset, local.N())
-			if llo >= lhi {
-				continue
-			}
-			msg := wire.Message{From: h.name, To: ShardName(s), Kind: kindLocal, Attr: attr}
-			for _, ch := range h.cfg.localChunksRange(llo, lhi) {
-				body := localBody{N: local.N(), Lo: ch[0], Hi: ch[1], Cells: local.PackedRowsView(ch[0], ch[1])}
-				if err := h.shards[s].SendBody(msg, body); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	for _, ch := range h.cfg.localChunks(local.N()) {
-		msg := wire.Message{From: h.name, To: TPName, Kind: kindLocal, Attr: attr}
-		body := localBody{N: local.N(), Lo: ch[0], Hi: ch[1], Cells: local.PackedRowsView(ch[0], ch[1])}
-		if err := h.tp.SendBody(msg, body); err != nil {
-			return err
-		}
-	}
-	return nil
+	msg := wire.Message{From: h.name, Kind: kindLocal, Attr: attr}
+	return h.streamRows(msg, local.N(), h.cfg.localChunksRange, func(ch [2]int) any {
+		return localBody{N: local.N(), Lo: ch[0], Hi: ch[1], Cells: local.PackedRowsView(ch[0], ch[1])}
+	})
 }
 
 // seedJK returns the generator seed shared by holders j and k for attr.
@@ -570,7 +548,7 @@ func (h *Holder) initiate(attr int, j, k string) error {
 		return err
 	}
 	responderRows := h.counts[k]
-	var full numDisguisedBody
+	var full numSBody
 	switch h.cfg.Variant {
 	case Float64Variant:
 		full.Float, err = h.eng.NumericInitiatorFloat(col, jk, jt, h.cfg.FloatParams, h.cfg.Mode, responderRows)
@@ -590,17 +568,13 @@ func (h *Holder) initiate(attr int, j, k string) error {
 	if err != nil {
 		return err
 	}
-	// The disguised matrix streams as bounded row-range chunks in the
-	// shared pairChunks schedule — it is responderRows×cols in per-pair
-	// mode, the session's last partition-quadratic payload to be chunked,
-	// so a monolithic frame would re-impose the wire.MaxFrame ceiling the
-	// rest of the session has shed. Batch mode disguises a single masked
-	// row and travels as one frame under any budget. The chunk bodies are
-	// zero-copy sub-matrix views of a payload dropped right after the
-	// final chunk.
+	// The disguised matrix — responderRows×cols in per-pair mode, one
+	// masked row in batch mode — streams as bounded row-range chunks in the
+	// shared pairChunksRange schedule, as zero-copy sub-matrix views of a
+	// payload dropped right after the final chunk.
 	disgRows := disguisedRows(h.cfg.Mode, responderRows)
-	for _, ch := range h.cfg.pairChunks(a.Type, disgRows, len(col)) {
-		if err := h.peers[k].SendBody(msg, disguisedView(&full, disgRows, ch)); err != nil {
+	for _, ch := range h.cfg.pairChunksRange(a.Type, 0, disgRows, len(col)) {
+		if err := h.peers[k].SendBody(msg, numSView(&full, disgRows, ch)); err != nil {
 			return err
 		}
 	}
@@ -618,40 +592,22 @@ func disguisedRows(mode protocol.Mode, responderRows int) int {
 	return 1
 }
 
-// disguisedView is the zero-copy row-range chunk [ch[0], ch[1]) of a
-// disguised matrix, mirroring the numSBody sub-views of respond.
-func disguisedView(full *numDisguisedBody, rows int, ch [2]int) numDisguisedBody {
-	body := numDisguisedBody{Rows: rows, Lo: ch[0], Hi: ch[1]}
-	switch {
-	case full.Float != nil:
-		body.Float = &protocol.Float64Matrix{Rows: ch[1] - ch[0], Cols: full.Float.Cols,
-			Cell: full.Float.Cell[ch[0]*full.Float.Cols : ch[1]*full.Float.Cols]}
-	case full.Int != nil:
-		body.Int = &protocol.Int64Matrix{Rows: ch[1] - ch[0], Cols: full.Int.Cols,
-			Cell: full.Int.Cell[ch[0]*full.Int.Cols : ch[1]*full.Int.Cols]}
-	case full.ModP != nil:
-		body.ModP = &protocol.ElementMatrix{Rows: ch[1] - ch[0], Cols: full.ModP.Cols,
-			Cell: full.ModP.Cell[ch[0]*full.ModP.Cols : ch[1]*full.ModP.Cols]}
-	}
-	return body
-}
-
 // respond is the DHK role for one (attribute, pair): combine the
 // initiator's disguised payload with the own column, then stream the
 // masked S/M comparison matrix to the third party.
 //
-// Like the local triangles, the payload travels as a sequence of bounded
-// row-range frames in the shared pairChunks schedule instead of one
-// monolithic body: the third party evaluates and installs each range on
-// arrival, and no frame grows with either partition — the masked matrix is
-// rows×cols over BOTH parties' object counts, so it was the session's last
-// wire.MaxFrame-bound message when both partitions are large. The chunk
-// bodies are zero-copy sub-matrix views of a payload that is dropped right
-// after the final chunk (Conduit.Send may not retain frames).
+// Like the local triangles, the payload — rows×cols over BOTH parties'
+// object counts — travels as bounded row-range frames in the shared
+// pairChunksRange schedule to the lanes owning its rows (streamRows): the
+// third party evaluates and installs each range on arrival, and no frame
+// grows with either partition. The chunk bodies are zero-copy sub-matrix
+// views of a payload dropped right after the final chunk (Conduit.Send may
+// not retain frames).
 func (h *Holder) respond(attr int, j, k string) error {
 	a := h.cfg.Schema.Attrs[attr]
 	rows, cols := h.table.Len(), h.counts[j]
-	msg := wire.Message{From: k, To: TPName, Kind: kindNumS, Attr: attr, PairJ: j, PairK: k}
+	msg := wire.Message{From: k, Kind: kindNumS, Attr: attr, PairJ: j, PairK: k}
+	sched := func(lo, hi int) [][2]int { return h.cfg.pairChunksRange(a.Type, lo, hi, cols) }
 
 	if a.Type == dataset.Alphanumeric {
 		var disg alphaDisguisedBody
@@ -675,42 +631,20 @@ func (h *Holder) respond(attr int, j, k string) error {
 		}
 		m := h.eng.AlphaResponder(own, disg.Strings, a.Alphabet)
 		msg.Kind = kindAlphaM
-		if len(h.shards) > 0 {
-			for sh, r := range h.shardRanges {
-				rlo, rhi := shardRowsOf(r[0], r[1], h.offset, rows)
-				if rlo >= rhi {
-					continue
-				}
-				smsg := msg
-				smsg.To = ShardName(sh)
-				for _, ch := range h.cfg.pairChunksRange(a.Type, rlo, rhi, cols) {
-					body := alphaMBody{Rows: rows, Lo: ch[0], Hi: ch[1], M: m[ch[0]:ch[1]]}
-					if err := h.shards[sh].SendBody(smsg, body); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		}
-		for _, ch := range h.cfg.pairChunks(a.Type, rows, cols) {
-			body := alphaMBody{Rows: rows, Lo: ch[0], Hi: ch[1], M: m[ch[0]:ch[1]]}
-			if err := h.tp.SendBody(msg, body); err != nil {
-				return err
-			}
-		}
-		return nil
+		return h.streamRows(msg, rows, sched, func(ch [2]int) any {
+			return alphaMBody{Rows: rows, Lo: ch[0], Hi: ch[1], M: m[ch[0]:ch[1]]}
+		})
 	}
 
 	// The disguised matrix arrives as the chunk stream initiate produces:
 	// both ends derive the identical schedule (disguisedRows × the
 	// initiator's census count), so the responder validates each frame's
 	// claimed range against its own schedule and reassembles before the
-	// combine — framing only, the combined payload is bit-identical to the
-	// former monolithic message at every chunk budget.
+	// combine.
 	disgRows := disguisedRows(h.cfg.Mode, rows)
 	var disg numSBody
-	for ci, sched := range h.cfg.pairChunks(a.Type, disgRows, cols) {
-		var chunk numDisguisedBody
+	for ci, ch := range h.cfg.pairChunksRange(a.Type, 0, disgRows, cols) {
+		var chunk numSBody
 		if _, err := expectMsg(h.peers[j], kindNumDisg, &chunk); err != nil {
 			return err
 		}
@@ -718,13 +652,11 @@ func (h *Holder) respond(attr int, j, k string) error {
 			return fmt.Errorf("party: %s disguised payload for pair (%s,%s) claims %d rows, expected %d",
 				j, j, k, chunk.Rows, disgRows)
 		}
-		if chunk.Lo != sched[0] || chunk.Hi != sched[1] {
+		if chunk.Lo != ch[0] || chunk.Hi != ch[1] {
 			return fmt.Errorf("party: %s pair (%s,%s) disguised chunk %d covers rows [%d,%d), schedule says [%d,%d)",
-				j, j, k, ci, chunk.Lo, chunk.Hi, sched[0], sched[1])
+				j, j, k, ci, chunk.Lo, chunk.Hi, ch[0], ch[1])
 		}
-		cs := numSBody{Rows: chunk.Rows, Lo: chunk.Lo, Hi: chunk.Hi,
-			Int: chunk.Int, Float: chunk.Float, ModP: chunk.ModP}
-		if err := appendNumChunk(&disg, &cs, sched, disgRows, cols); err != nil {
+		if err := appendNumChunk(&disg, &chunk, ch, disgRows, cols); err != nil {
 			return fmt.Errorf("party: %s pair (%s,%s) disguised chunk %d %w", j, j, k, ci, err)
 		}
 	}
@@ -762,32 +694,11 @@ func (h *Holder) respond(attr int, j, k string) error {
 	if err != nil {
 		return err
 	}
-	if len(h.shards) > 0 {
-		for sh, r := range h.shardRanges {
-			rlo, rhi := shardRowsOf(r[0], r[1], h.offset, rows)
-			if rlo >= rhi {
-				continue
-			}
-			smsg := msg
-			smsg.To = ShardName(sh)
-			for _, ch := range h.cfg.pairChunksRange(a.Type, rlo, rhi, cols) {
-				if err := h.shards[sh].SendBody(smsg, numSView(&s, rows, ch)); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	for _, ch := range h.cfg.pairChunks(a.Type, rows, cols) {
-		if err := h.tp.SendBody(msg, numSView(&s, rows, ch)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return h.streamRows(msg, rows, sched, func(ch [2]int) any { return numSView(&s, rows, ch) })
 }
 
-// numSView is the zero-copy row-range chunk [ch[0], ch[1]) of a masked S/M
-// payload.
+// numSView is the zero-copy row-range chunk [ch[0], ch[1]) of a numeric
+// pairwise payload of rows rows — a disguised matrix or a masked S.
 func numSView(s *numSBody, rows int, ch [2]int) numSBody {
 	body := numSBody{Rows: rows, Lo: ch[0], Hi: ch[1]}
 	switch {
@@ -833,6 +744,10 @@ func (h *Holder) recvResult() (*Result, error) {
 		Method:     Method(body.Method),
 		Linkage:    hcluster.Linkage(body.Linkage),
 		K:          body.K,
+	}
+	if len(body.ClusterSites) != len(body.ClusterIndices) {
+		return nil, fmt.Errorf("party: result lists %d clusters of sites but %d of indices",
+			len(body.ClusterSites), len(body.ClusterIndices))
 	}
 	for c := range body.ClusterSites {
 		if len(body.ClusterSites[c]) != len(body.ClusterIndices[c]) {

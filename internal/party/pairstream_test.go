@@ -17,8 +17,8 @@ import (
 // differential pin to the pairwise protocol payloads across arithmetic
 // variants and masking modes: chunked S/M streams (one row per frame and
 // a 4 KiB bound) crossed with Parallelism 1 and all cores must publish
-// reports bit-identical to the phase-serial reference's monolithic wire
-// shape — for the int64 and mod-p variants and for per-pair masking,
+// reports bit-identical to the phase-serial reference over the
+// single-frame wire shape (a 1 GiB budget) — for the int64 and mod-p variants and for per-pair masking,
 // whose third-party keystream is consumed row-sequentially across chunks
 // (the alignment-sensitive case). The serial reference is also run over
 // the chunked wire, covering the reassembly path.
@@ -42,7 +42,7 @@ func TestPairChunkedMatchesSerialAcrossVariants(t *testing.T) {
 	}
 	for _, tc := range cases {
 		base := Config{Schema: pipelineSchema(), Variant: tc.variant, Mode: tc.mode,
-			Parallelism: 1, LocalChunkBytes: -1}
+			Parallelism: 1, LocalChunkBytes: 1 << 30}
 		want, err := runSerialRef(base, parts, reqs, deterministicRandom(15), nil)
 		if err != nil {
 			t.Fatalf("%s baseline: %v", tc.name, err)
@@ -147,9 +147,9 @@ func TestPairChunkedStreamingLiftsFrameCeiling(t *testing.T) {
 	}
 	assertSameOutcome(t, "capped conduit", uncapped, out)
 
-	cfg.LocalChunkBytes = -1 // monolithic: the S-matrix frame must be rejected
+	cfg.LocalChunkBytes = 1 << 30 // one frame per payload: the S-matrix frame must be rejected
 	if _, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(16), capWrap); !errors.Is(err, wire.ErrFrameTooLarge) {
-		t.Fatalf("monolithic session over capped conduit: want ErrFrameTooLarge, got %v", err)
+		t.Fatalf("single-frame session over capped conduit: want ErrFrameTooLarge, got %v", err)
 	}
 }
 
@@ -224,7 +224,7 @@ func runTamperedPairStream(t *testing.T, mode string) error {
 	// (4 rows per frame).
 	cfg := Config{Schema: parts[0].Table.Schema(), Variant: Float64Variant,
 		PlaintextChannels: true, LocalChunkBytes: 320}
-	if chunks := cfg.pairChunks(dataset.Numeric, 10, 10); len(chunks) < 2 {
+	if chunks := cfg.pairChunksRange(dataset.Numeric, 0, 10, 10); len(chunks) < 2 {
 		t.Fatalf("test shape yields %d chunks, want several", len(chunks))
 	}
 	_, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(17), wrap)

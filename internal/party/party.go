@@ -156,12 +156,11 @@ type Config struct {
 	// cut into row ranges of at most this many payload bytes (at least
 	// one row per frame), and the third party installs or evaluates each
 	// range the moment it arrives. It is part of the session agreement —
-	// both sides derive the identical chunk schedules (localChunks,
-	// pairChunks) from it — and tunes only framing: reports are
+	// both sides derive the identical chunk schedules (localChunksRange,
+	// pairChunksRange) from it — and tunes only framing: reports are
 	// bit-identical at every setting. 0 selects DefaultLocalChunkBytes;
-	// negative sends every payload as a single monolithic frame (the
-	// pre-streaming wire shape, which re-imposes the wire.MaxFrame
-	// ceiling on session size).
+	// negative is refused. A budget larger than a payload sends that
+	// payload as one frame.
 	LocalChunkBytes int
 	// SessionTimeout bounds a whole session, handshake through result.
 	// When it elapses the party fails with ErrSessionTimeout, notifies
@@ -245,31 +244,14 @@ type Config struct {
 const DefaultLocalChunkBytes = 256 << 10
 
 // chunkBudgetBytes resolves the LocalChunkBytes knob's defaulting in one
-// place for every chunk schedule: negative means monolithic (returned as
-// −1), 0 selects DefaultLocalChunkBytes. Holder and third party must
-// derive identical schedules, so this is the only ladder.
+// place for every chunk schedule: 0 selects DefaultLocalChunkBytes. Holder
+// and third party must derive identical schedules, so this is the only
+// ladder.
 func (c Config) chunkBudgetBytes() int {
-	switch {
-	case c.LocalChunkBytes < 0:
-		return -1
-	case c.LocalChunkBytes == 0:
+	if c.LocalChunkBytes == 0 {
 		return DefaultLocalChunkBytes
-	default:
-		return c.LocalChunkBytes
 	}
-}
-
-// localChunks is the chunk schedule of one party's local-matrix stream:
-// row ranges of the packed triangle bounded by the configured chunk bytes
-// (8 bytes per packed float64 cell). Holder and third party compute it
-// independently from the shared Config, so the receiver knows every
-// chunk's row range — and the demux lane quota — before the first frame.
-func (c Config) localChunks(n int) [][2]int {
-	b := c.chunkBudgetBytes()
-	if b < 0 {
-		return [][2]int{{0, n}}
-	}
-	return dissim.RowChunks(n, b/8)
+	return c.LocalChunkBytes
 }
 
 // alphaPairCellBytes is the nominal wire weight of one alphanumeric S/M
@@ -298,22 +280,6 @@ func (c Config) pairCellBytes(t dataset.AttrType) int {
 	}
 }
 
-// pairChunks is the chunk schedule of one responder→TP S/M payload for an
-// attribute of type t: row ranges of the rows×cols comparison matrix
-// (rows = the responder's object count, cols = the initiator's) bounded by
-// the configured chunk bytes — the pairwise-protocol analogue of
-// localChunks, driven by the same Config.LocalChunkBytes knob. Responder
-// and third party compute it independently from the shared Config and the
-// census, so the receiver knows every chunk's row range — and the demux
-// lane quota — before the first frame.
-func (c Config) pairChunks(t dataset.AttrType, rows, cols int) [][2]int {
-	b := c.chunkBudgetBytes()
-	if b < 0 {
-		return [][2]int{{0, rows}}
-	}
-	return dissim.RectChunks(rows, cols, b/c.pairCellBytes(t))
-}
-
 // shardCount resolves TPShards: anything below 2 is the single-TP path.
 func (c Config) shardCount() int {
 	if c.TPShards < 1 {
@@ -322,38 +288,31 @@ func (c Config) shardCount() int {
 	return c.TPShards
 }
 
-// localChunksRange is localChunks restricted to triangle rows [lo, hi) —
-// the schedule of one holder's local-matrix stream toward the shard that
-// owns those rows. localChunksRange(0, n) equals localChunks(n), so the
-// single-TP schedule is the one-shard special case.
+// localChunksRange is the chunk schedule of one holder's local-matrix
+// stream toward the lane that owns triangle rows [lo, hi): row ranges of
+// the packed triangle bounded by the configured chunk bytes (8 bytes per
+// packed float64 cell). Holder and third party compute it independently
+// from the shared Config and the census, so the receiver knows every
+// chunk's row range — and the demux lane quota — before the first frame.
 func (c Config) localChunksRange(lo, hi int) [][2]int {
-	b := c.chunkBudgetBytes()
-	if b < 0 {
-		return [][2]int{{lo, hi}}
-	}
-	return dissim.RowChunksRange(lo, hi, b/8)
+	return dissim.RowChunksRange(lo, hi, c.chunkBudgetBytes()/8)
 }
 
-// pairChunksRange is pairChunks restricted to responder rows [lo, hi) —
-// the schedule of one responder→shard S/M stream for the shard owning
-// those rows. pairChunksRange(t, 0, rows, cols) equals
-// pairChunks(t, rows, cols).
+// pairChunksRange is the chunk schedule of one rows×cols pairwise payload
+// of attribute type t restricted to rows [lo, hi): the responder→TP S/M
+// stream toward the lane owning those responder rows (cols = the
+// initiator's object count), and, over all rows, the initiator→responder
+// disguised stream. Row ranges are bounded by the configured chunk bytes
+// at pairCellBytes per cell; both ends derive the schedule from the shared
+// Config and the census.
 func (c Config) pairChunksRange(t dataset.AttrType, lo, hi, cols int) [][2]int {
-	b := c.chunkBudgetBytes()
-	if b < 0 {
-		return [][2]int{{lo, hi}}
-	}
-	return dissim.RectChunksRange(lo, hi, cols, b/c.pairCellBytes(t))
+	return dissim.RectChunksRange(lo, hi, cols, c.chunkBudgetBytes()/c.pairCellBytes(t))
 }
 
 // pairChunkCountRange is len(pairChunksRange(t, lo, hi, cols)) without
 // materializing the schedule, for the demux lane quotas.
 func (c Config) pairChunkCountRange(t dataset.AttrType, lo, hi, cols int) int {
-	b := c.chunkBudgetBytes()
-	if b < 0 {
-		return 1
-	}
-	return dissim.RectChunkCountRange(lo, hi, cols, b/c.pairCellBytes(t))
+	return dissim.RectChunkCountRange(lo, hi, cols, c.chunkBudgetBytes()/c.pairCellBytes(t))
 }
 
 // shardRowsOf intersects global triangle rows [lo, hi) with the rows a
@@ -400,10 +359,9 @@ func shardRowsOf(lo, hi, off, n int) (int, int) {
 // K× the single-TP estimate would over-reserve by roughly the matrix
 // term times K−1.
 //
-// A monolithic configuration (LocalChunkBytes < 0) prices each "chunk"
-// at the full triangle, which is exactly the pre-streaming resident
-// shape. The estimate is a pure function of public shape (schema, census,
-// chunking, shard count) — it never consults private data.
+// A chunk is priced at no more than the full triangle. The estimate is a
+// pure function of public shape (schema, census, chunking, shard count) —
+// it never consults private data.
 func (c Config) EstimateSessionBytes(numHolders, totalObjects, shards int) int64 {
 	if numHolders < 0 {
 		numHolders = 0
@@ -414,7 +372,7 @@ func (c Config) EstimateSessionBytes(numHolders, totalObjects, shards int) int64
 	}
 	triangle := 8 * n * (n - 1) / 2
 	chunk := int64(c.chunkBudgetBytes())
-	if chunk < 0 || chunk > triangle {
+	if chunk > triangle {
 		chunk = triangle
 	}
 	nAttr := int64(len(c.Schema.Attrs))
@@ -455,6 +413,9 @@ func (c Config) normalized() (Config, error) {
 	}
 	if c.FloatParams == (protocol.FloatParams{}) {
 		c.FloatParams = protocol.DefaultFloatParams
+	}
+	if b := c.LocalChunkBytes; b < 0 {
+		return c, fmt.Errorf("party: LocalChunkBytes %d is negative; use 0 for the default or a positive frame budget", b)
 	}
 	if c.TPShards > MaxTPShards {
 		return c, fmt.Errorf("party: TPShards %d exceeds the maximum of %d", c.TPShards, MaxTPShards)
@@ -595,37 +556,21 @@ type groupKeyBody struct {
 
 // localBody is one chunk of an attribute's local dissimilarity matrix:
 // the packed cells of triangle rows [Lo, Hi), streamed in the shared
-// localChunks schedule (a single chunk covering [0, N) under a monolithic
-// configuration). N is the full object count, repeated per chunk so every
-// frame validates against the census on its own.
+// localChunksRange schedule. N is the full object count, repeated per
+// chunk so every frame validates against the census on its own.
 type localBody struct {
 	N      int
 	Lo, Hi int
 	Cells  []float64
 }
 
-// numDisguisedBody is one chunk of the initiator→responder numeric
-// message: rows [Lo, Hi) of the disguised matrix, streamed in the shared
-// pairChunks schedule — the same budget that bounds responder→TP frames,
-// so no session message grows with the partition. Rows is the full
-// disguised row count (the responder's census count in per-pair mode, 1
-// in batch mode), repeated per chunk so every frame validates on its own;
-// exactly one variant pointer is set, holding the (Hi−Lo)×cols sub-matrix.
-type numDisguisedBody struct {
-	Rows   int
-	Lo, Hi int
-	Int    *protocol.Int64Matrix
-	Float  *protocol.Float64Matrix
-	ModP   *protocol.ElementMatrix
-}
-
-// numSBody is one chunk of the responder→TP numeric message: rows
-// [Lo, Hi) of the masked comparison matrix S, streamed in the shared
-// pairChunks schedule (a single chunk covering [0, Rows) under a
-// monolithic configuration). Rows is the responder's full object count,
-// repeated per chunk so every frame validates against the census on its
-// own; exactly one variant pointer is set, holding the (Hi−Lo)×cols
-// sub-matrix.
+// numSBody is one chunk of a numeric pairwise payload: rows [Lo, Hi) of
+// the initiator→responder disguised matrix or of the responder→TP masked
+// comparison matrix S, streamed in the shared pairChunksRange schedule.
+// Rows is the full row count (for S the responder's object count; for the
+// disguised matrix that count in per-pair mode, 1 in batch mode), repeated
+// per chunk so every frame validates on its own; exactly one variant
+// pointer is set, holding the (Hi−Lo)×cols sub-matrix.
 type numSBody struct {
 	Rows   int
 	Lo, Hi int
@@ -635,9 +580,9 @@ type numSBody struct {
 }
 
 // appendNumChunk concatenates one numeric chunk's sub-matrix onto a
-// reassembled monolithic payload (the responder rebuilding the
-// initiator's disguised matrix), enforcing a consistent variant and the
-// census column count across the chunks of one pair. totalRows and
+// reassembled whole payload (the responder rebuilding the initiator's
+// disguised matrix), enforcing a consistent variant and the census column
+// count across the chunks of one pair. totalRows and
 // censusCols (both census-derived) presize the reassembled cell storage
 // on the first chunk, so the multi-append reassembly copies each cell
 // once instead of re-growing a multi-megabyte payload log-many times; the
@@ -653,8 +598,8 @@ func appendNumChunk(mono, chunk *numSBody, ch [2]int, totalRows, censusCols int)
 		if chunkRows != wantRows {
 			return fmt.Errorf("carries %d rows, want %d", chunkRows, wantRows)
 		}
-		// A zero-row chunk (empty responder) carries no usable column
-		// count, matching the monolithic path's census-check exemption.
+		// A zero-row chunk (an empty responder's disguised stream) carries
+		// no usable column count.
 		if chunkRows > 0 && chunkCols != censusCols {
 			return fmt.Errorf("has %d columns, census says %d", chunkCols, censusCols)
 		}
@@ -723,8 +668,9 @@ type alphaDisguisedBody struct {
 
 // alphaMBody is one chunk of the responder→TP alphanumeric message: rows
 // [Lo, Hi) of the intermediary-matrix block (one row of per-initiator
-// symbol matrices per responder string), streamed in the shared pairChunks
-// schedule. Rows is the responder's full object count, repeated per chunk.
+// symbol matrices per responder string), streamed in the shared
+// pairChunksRange schedule. Rows is the responder's full object count,
+// repeated per chunk.
 type alphaMBody struct {
 	Rows   int
 	Lo, Hi int
@@ -842,15 +788,6 @@ func schemaFingerprint(s dataset.Schema) string {
 		fp += fmt.Sprintf("/%g;", a.Weight)
 	}
 	return fp
-}
-
-// attrSeed derives the per-attribute stream seed from a pairwise base seed,
-// so masks never repeat across attributes.
-func attrSeed(base rng.Seed, attr int) rng.Seed {
-	buf := make([]byte, 0, len(base)+16)
-	buf = append(buf, base[:]...)
-	buf = append(buf, []byte(fmt.Sprintf("/attr/%d", attr))...)
-	return rng.SeedFromBytes(buf)
 }
 
 // sortedPairs enumerates holder pairs (J, K) with J < K in holder order.

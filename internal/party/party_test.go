@@ -282,6 +282,9 @@ func TestValidationErrors(t *testing.T) {
 		mixedPartitions(t), nil, deterministicRandom(4)); err == nil {
 		t.Fatal("invalid variant accepted")
 	}
+	if _, err := (Config{Schema: schema, LocalChunkBytes: -1}).normalized(); err == nil || !strings.Contains(err.Error(), "LocalChunkBytes -1 is negative") {
+		t.Fatalf("negative chunk budget: want a descriptive refusal, got %v", err)
+	}
 }
 
 // TestEmptyPartition: a holder with zero objects participates without
@@ -416,8 +419,10 @@ func TestExtensionSchemaFingerprint(t *testing.T) {
 
 // TestAllEmptySession: a census of zero objects completes with an empty
 // published result (needed by the cost harness's overhead probe), on the
-// single TP — whose holders still send their empty chunks — and sharded,
-// where the census yields no shard range at all.
+// single TP and sharded. Every holder's lane intersections are empty, so
+// no comparison chunk frame moves at any K; the single TP still runs the
+// (empty) range that carries its tag stages, while sharded the census
+// yields no shard range at all.
 func TestAllEmptySession(t *testing.T) {
 	schema := dataset.Schema{Attrs: []dataset.Attribute{{Name: "x", Type: dataset.Numeric}}}
 	parts := []dataset.Partition{

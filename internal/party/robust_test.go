@@ -134,3 +134,26 @@ func TestGarbagePayloadFails(t *testing.T) {
 		t.Fatal("garbage payload accepted")
 	}
 }
+
+// TestRaggedResultRefused: a result whose site and index lists have
+// different outer lengths — as a faulty or hostile remote third party can
+// send — is refused with an error instead of indexing past the shorter
+// list.
+func TestRaggedResultRefused(t *testing.T) {
+	tx, rx := wire.Pipe()
+	defer tx.Close()
+	defer rx.Close()
+	msg := wire.Message{From: TPName, To: "A", Kind: kindResult, Attr: -1}
+	body := resultBody{ClusterSites: [][]string{{"A"}, {"B"}}, ClusterIndices: [][]int{{0}}}
+	if err := wire.NewEndpoint(tx).SendBody(msg, body); err != nil {
+		t.Fatal(err)
+	}
+	h := &Holder{name: "A", tp: wire.NewEndpoint(rx)}
+	res, err := h.recvResult()
+	if err == nil {
+		t.Fatalf("ragged result accepted: %+v", res)
+	}
+	if !strings.Contains(err.Error(), "2 clusters of sites but 1 of indices") {
+		t.Fatalf("error %q does not describe the ragged lists", err)
+	}
+}

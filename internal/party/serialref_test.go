@@ -104,11 +104,16 @@ func (tp *ThirdParty) assembleComparisonSerial(eng *protocol.Engine, attr int) (
 
 // recvLocalSerial reassembles one holder's local-matrix chunks into the
 // monolithic packed triangle and performs the FromPacked + SetLocal
-// install.
+// install. A zero-object holder sends no local frames; its empty block is
+// still installed.
 func (tp *ThirdParty) recvLocalSerial(asm *dissim.Assembler, src attrSource, hi int, h string, attr int) error {
 	n := tp.counts[hi]
 	mono := make([]float64, 0, n*(n-1)/2)
-	for ci, ch := range tp.cfg.localChunks(n) {
+	var chunks [][2]int
+	if n > 0 {
+		chunks = tp.cfg.localChunksRange(0, n)
+	}
+	for ci, ch := range chunks {
 		var body localBody
 		m, err := src.expect(hi, kindLocal, &body)
 		if err != nil {
@@ -135,12 +140,16 @@ func (tp *ThirdParty) recvLocalSerial(asm *dissim.Assembler, src attrSource, hi 
 
 // recvPairSerial reassembles one pair's S/M chunk stream into the
 // monolithic payload, evaluates it in one whole-matrix engine pass and
-// installs it with SetCross.
+// installs it with SetCross. A zero-object responder sends no S/M frames;
+// its empty cross block is still installed.
 func (tp *ThirdParty) recvPairSerial(eng *protocol.Engine, asm *dissim.Assembler, src attrSource, attr, ji, ki int) error {
 	a := tp.cfg.Schema.Attrs[attr]
 	j, k := tp.holders[ji], tp.holders[ki]
 	rows, cols := tp.counts[ki], tp.counts[ji]
-	chunks := tp.cfg.pairChunks(a.Type, rows, cols)
+	if rows == 0 {
+		return asm.SetCross(ji, ki, func(m, n int) float64 { return 0 })
+	}
+	chunks := tp.cfg.pairChunksRange(a.Type, 0, rows, cols)
 	jt := rng.New(tp.cfg.RNG, tp.seedJT(attr, j, k))
 
 	var block func(m, n int) float64
@@ -214,9 +223,7 @@ func (tp *ThirdParty) recvPairSerial(eng *protocol.Engine, asm *dissim.Assembler
 			block = func(m, n int) float64 { return float64(dists.At(m, n)) }
 		}
 	}
-	// A zero-row block (empty responder) carries no usable column count
-	// and is never consulted during assembly.
-	if bRows != rows || (bRows > 0 && bCols != cols) {
+	if bRows != rows || bCols != cols {
 		return fmt.Errorf("party: block (%s,%s) is %dx%d, census says %dx%d", j, k, bRows, bCols, rows, cols)
 	}
 	return asm.SetCross(ji, ki, block)

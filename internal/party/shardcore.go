@@ -41,19 +41,13 @@ type shardCore struct {
 	// coordinator derives it from the key agreement (ThirdParty.seedJT), a
 	// worker looks it up in the slice offer.
 	seed func(attr int, j, k string) rng.Seed
-	// whole marks the single TP's core, which reads the control streams:
-	// there holders send every schedule unrestricted, so a holder or
-	// responder with no rows still sends its one empty chunk, which the
-	// core must consume. Shard streams skip empty intersections instead.
-	whole bool
 }
 
 // core builds the third party's own shard pipeline view — the in-process
 // deployment.
 func (tp *ThirdParty) core() *shardCore {
 	return &shardCore{cfg: tp.cfg, holders: tp.holders, counts: tp.counts,
-		workers: tp.workers, engines: tp.engines, seed: tp.seedJT,
-		whole: tp.cfg.shardCount() == 1}
+		workers: tp.workers, engines: tp.engines, seed: tp.seedJT}
 }
 
 // censusLayout returns each holder's global row offset and the census
@@ -141,13 +135,14 @@ func runStages(attrs []int, workers int, engines *protocol.EnginePool, stage fun
 // holder, the control and shard demuxes, the coordinator's relay pumps and
 // a worker process's own demux — derives the identical vector from
 // (Config, census, range) alone, so the exact stream length is known
-// before the first frame moves. On a shard stream a holder with no rows
-// in the shard has an all-zero vector and sends nothing there.
+// before the first frame moves. A holder with no rows in the range — at
+// any K, including a zero-object holder at K=1 — has an all-zero vector
+// and sends nothing there.
 func (c *shardCore) laneQuotas(offsets []int, hi int, r [2]int) []int {
 	attrs := c.cfg.Schema.Attrs
 	quotas := make([]int, len(attrs))
 	llo, lhi := shardRowsOf(r[0], r[1], offsets[hi], c.counts[hi])
-	if llo >= lhi && !c.whole {
+	if llo >= lhi {
 		return quotas
 	}
 	for attr, a := range attrs {
@@ -204,7 +199,7 @@ func (c *shardCore) assembleShardSlice(eng *protocol.Engine, r [2]int, demux []*
 	src := demuxSource{ds: demux, lane: attr}
 	for hi, h := range c.holders {
 		llo, lhi := sa.LocalRows(hi)
-		if llo >= lhi && !c.whole {
+		if llo >= lhi {
 			continue
 		}
 		if err := c.recvLocalRows(sa, src, hi, h, attr, c.cfg.localChunksRange(llo, lhi)); err != nil {
@@ -214,7 +209,7 @@ func (c *shardCore) assembleShardSlice(eng *protocol.Engine, r [2]int, demux []*
 	for _, pair := range sortedPairs(c.holders) {
 		ji, ki := pair[0], pair[1]
 		rlo, rhi := sa.CrossRows(ki)
-		if rlo >= rhi && !c.whole {
+		if rlo >= rhi {
 			continue
 		}
 		j, k := c.holders[ji], c.holders[ki]
@@ -269,9 +264,6 @@ func (c *shardCore) recvLocalRows(sa *dissim.SliceAssembler, src attrSource, hi 
 			return fmt.Errorf("party: %s local chunk %d covers rows [%d,%d), schedule says [%d,%d)",
 				h, ci, body.Lo, body.Hi, ch[0], ch[1])
 		}
-		if ch[0] == ch[1] {
-			continue // an empty holder's one chunk carries no rows
-		}
 		if err := sa.SetLocalRows(hi, body.Lo, body.Hi, body.Cells); err != nil {
 			return err
 		}
@@ -293,7 +285,7 @@ func (c *shardCore) recvPairRows(eng *protocol.Engine, sa *dissim.SliceAssembler
 	rows, cols := c.counts[ki], c.counts[ji]
 	for ci, ch := range chunks {
 		var block func(m, n int) float64
-		var bRows, bCols int
+		var bCols int
 		if a.Type == dataset.Alphanumeric {
 			var body alphaMBody
 			if _, err := src.expect(ki, kindAlphaM, &body); err != nil {
@@ -306,7 +298,7 @@ func (c *shardCore) recvPairRows(eng *protocol.Engine, sa *dissim.SliceAssembler
 			if err != nil {
 				return err
 			}
-			bRows, bCols = dists.Rows, dists.Cols
+			bCols = dists.Cols
 			block = func(m, n int) float64 { return float64(dists.At(m, n)) }
 		} else {
 			var body numSBody
@@ -325,7 +317,7 @@ func (c *shardCore) recvPairRows(eng *protocol.Engine, sa *dissim.SliceAssembler
 				if err != nil {
 					return err
 				}
-				bRows, bCols = dists.Rows, dists.Cols
+				bCols = dists.Cols
 				block = func(m, n int) float64 { return dists.At(m, n) }
 			case Int64Variant:
 				if body.Int == nil {
@@ -335,7 +327,7 @@ func (c *shardCore) recvPairRows(eng *protocol.Engine, sa *dissim.SliceAssembler
 				if err != nil {
 					return err
 				}
-				bRows, bCols = dists.Rows, dists.Cols
+				bCols = dists.Cols
 				block = func(m, n int) float64 { return float64(dists.At(m, n)) }
 			case ModPVariant:
 				if body.ModP == nil {
@@ -345,18 +337,13 @@ func (c *shardCore) recvPairRows(eng *protocol.Engine, sa *dissim.SliceAssembler
 				if err != nil {
 					return err
 				}
-				bRows, bCols = dists.Rows, dists.Cols
+				bCols = dists.Cols
 				block = func(m, n int) float64 { return float64(dists.At(m, n)) }
 			}
 		}
-		// A zero-row chunk (empty responder) carries no usable column
-		// count and is never consulted during assembly.
-		if bRows > 0 && bCols != cols {
+		if bCols != cols {
 			return fmt.Errorf("party: block (%s,%s) rows [%d,%d) have %d columns, census says %d",
 				j, k, ch[0], ch[1], bCols, cols)
-		}
-		if ch[0] == ch[1] {
-			continue // an empty responder's one chunk carries no rows
 		}
 		if err := sa.SetCrossRows(ji, ki, ch[0], ch[1], block); err != nil {
 			return err

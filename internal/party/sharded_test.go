@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -43,8 +44,8 @@ func TestShardedMatchesSingleTP(t *testing.T) {
 // TestShardedPerPairDisguisedChunkSweep extends the differential pin to
 // per-pair masking — the mode whose initiator→responder disguised matrix
 // now streams on the shared chunk schedule — across chunk sizes one row
-// per frame, 4 KiB, the 256 KiB default and ∞ (the monolithic legacy
-// shape), unsharded and at K=2. The mod-p variant rides along at the
+// per frame, 4 KiB, the 256 KiB default and 1 GiB (one frame per
+// payload), unsharded and at K=2. The mod-p variant rides along at the
 // smallest chunk: its rejection-sampled per-cell masks are the most
 // alignment-sensitive keystream across chunk and shard boundaries.
 func TestShardedPerPairDisguisedChunkSweep(t *testing.T) {
@@ -55,11 +56,11 @@ func TestShardedPerPairDisguisedChunkSweep(t *testing.T) {
 		variant Variant
 		chunks  []int
 	}{
-		{"float64", Float64Variant, []int{1, 4 << 10, 256 << 10, -1}},
+		{"float64", Float64Variant, []int{1, 4 << 10, 256 << 10, 1 << 30}},
 		{"modp", ModPVariant, []int{1}},
 	} {
 		base := Config{Schema: pipelineSchema(), Variant: tc.variant, Mode: protocol.PerPair,
-			Parallelism: 1, LocalChunkBytes: -1}
+			Parallelism: 1, LocalChunkBytes: 1 << 30}
 		want, err := runSerialRef(base, parts, reqs, deterministicRandom(24), nil)
 		if err != nil {
 			t.Fatalf("%s baseline: %v", tc.name, err)
@@ -82,10 +83,9 @@ func TestShardedPerPairDisguisedChunkSweep(t *testing.T) {
 // session level: with more shards than triangle rows the coordinator
 // plans fewer active ranges than conduits, the surplus lanes carry only
 // their hellos, and the report stays bit-identical. One-row holders make
-// several shard×holder row intersections empty. A zero-object holder is
-// where the single-TP and shard wires differ — at K=1 it still sends one
-// empty chunk per schedule, on shard lanes it sends nothing — so that
-// input runs at K=1 too.
+// several shard×holder row intersections empty. A zero-object holder has
+// an empty intersection with every lane, and sends nothing on any of them
+// at any K, so that input runs at K=1 too.
 func TestShardedMoreShardsThanRows(t *testing.T) {
 	withEmpty := pipelineParts(t, 1)
 	withEmpty[1] = dataset.Partition{Site: "B", Table: dataset.MustNewTable(pipelineSchema())}
@@ -109,6 +109,55 @@ func TestShardedMoreShardsThanRows(t *testing.T) {
 				t.Fatalf("%s shards=%d: %v", in.name, k, err)
 			}
 			assertSameOutcome(t, fmt.Sprintf("%s shards=%d", in.name, k), want, got)
+		}
+	}
+}
+
+// TestShardedEmptyHolderSendsNoComparisonFrames pins the one
+// empty-intersection rule on the wire: a zero-object holder sends no
+// ppc/local, ppc/numeric-s or ppc/alpha-m frame on any TP-side conduit —
+// the control conduit at K=1, the shard conduits at K=2 — while its
+// non-empty peers do.
+func TestShardedEmptyHolderSendsNoComparisonFrames(t *testing.T) {
+	parts := pipelineParts(t, 1)
+	parts[1] = dataset.Partition{Site: "B", Table: dataset.MustNewTable(pipelineSchema())}
+	comparison := map[wire.Kind]bool{kindLocal: true, kindNumS: true, kindAlphaM: true}
+	for _, k := range []int{1, 2} {
+		var mu sync.Mutex
+		sent := map[string]map[wire.Kind]int{} // holder → comparison kind → frames the TP side received
+		tap := func(owner, peer string, c wire.Conduit) wire.Conduit {
+			if owner != TPName && !strings.HasPrefix(owner, TPName+"#") {
+				return c
+			}
+			return wire.Tap(c, func(dir string, frame []byte) {
+				if dir != "recv" {
+					return
+				}
+				m, err := decodeFrame(frame)
+				if err != nil || !comparison[m.Kind] {
+					return
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if sent[peer] == nil {
+					sent[peer] = map[wire.Kind]int{}
+				}
+				sent[peer][m.Kind]++
+			})
+		}
+		cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, PlaintextChannels: true, TPShards: k}
+		if _, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(26), tap); err != nil {
+			t.Fatalf("shards=%d: %v", k, err)
+		}
+		if len(sent["B"]) != 0 {
+			t.Errorf("shards=%d: zero-object holder B sent comparison frames %v", k, sent["B"])
+		}
+		// C holds 3 objects and responds in both of its pairs: its local and
+		// S/M streams must have crossed the tap, or the tap saw nothing.
+		for kind := range comparison {
+			if sent["C"][kind] == 0 {
+				t.Errorf("shards=%d: holder C sent no %s frame through the tap", k, kind)
+			}
 		}
 	}
 }

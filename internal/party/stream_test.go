@@ -13,21 +13,21 @@ import (
 
 // TestChunkedStreamingMatchesSerialTP is the streaming engine's
 // differential pin: every chunk size — one row per frame, 4 KiB, the
-// 256 KiB default, and ∞ (the monolithic pre-streaming wire shape) —
+// 256 KiB default, and 1 GiB (past every payload: one frame each) —
 // crossed with Parallelism 1, 2 and all cores must publish a report
-// bit-identical to the phase-serial reference path's monolithic install.
+// bit-identical to the phase-serial reference path's whole-matrix install.
 // The serial reference is also run over a chunked wire (it reassembles the
-// frames into the old monolithic FromPacked + SetLocal install), covering
+// frames into one FromPacked + SetLocal install), covering
 // the reassembly path the equivalence claim rests on.
 func TestChunkedStreamingMatchesSerialTP(t *testing.T) {
 	parts := pipelineParts(t, 10)
 	reqs := pipelineReqs()
-	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1, LocalChunkBytes: -1}
+	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1, LocalChunkBytes: 1 << 30}
 	want, err := runSerialRef(base, parts, reqs, deterministicRandom(11), nil)
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
-	for _, chunk := range []int{1, 4 << 10, 256 << 10, -1} {
+	for _, chunk := range []int{1, 4 << 10, 256 << 10, 1 << 30} {
 		for _, workers := range []int{1, 2, 0} {
 			cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: workers, LocalChunkBytes: chunk}
 			got, err := RunInMemory(cfg, parts, reqs, deterministicRandom(11))
@@ -85,7 +85,7 @@ func streamCapParts(t *testing.T) []dataset.Partition {
 // TestChunkedStreamingLiftsFrameCeiling: over holder→TP conduits that
 // reject frames above 24 KiB, a session whose local triangle encodes to
 // ~64 KiB succeeds when streamed in 4 KiB row chunks and fails with the
-// descriptive frame-size error when forced monolithic — the MaxFrame
+// descriptive frame-size error when sent as one frame — the MaxFrame
 // ceiling-lift property at test scale.
 func TestChunkedStreamingLiftsFrameCeiling(t *testing.T) {
 	parts := streamCapParts(t)
@@ -106,9 +106,9 @@ func TestChunkedStreamingLiftsFrameCeiling(t *testing.T) {
 	}
 	assertSameOutcome(t, "capped conduit", uncapped, out)
 
-	cfg.LocalChunkBytes = -1 // monolithic: the triangle frame must be rejected
+	cfg.LocalChunkBytes = 1 << 30 // one frame per payload: the triangle frame must be rejected
 	if _, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(12), capWrap); !errors.Is(err, wire.ErrFrameTooLarge) {
-		t.Fatalf("monolithic session over capped conduit: want ErrFrameTooLarge, got %v", err)
+		t.Fatalf("single-frame session over capped conduit: want ErrFrameTooLarge, got %v", err)
 	}
 }
 
@@ -217,14 +217,15 @@ func benchStreamSession(b *testing.B, chunkBytes, rowsA, rowsB int) {
 }
 
 // BenchmarkSessionStream is the session-stream family's in-tree smoke
-// variant (CI runs it at -benchtime=1x): the monolithic wire shape vs
+// variant (CI runs it at -benchtime=1x): one frame per payload (a 1 GiB
+// chunk budget) vs
 // row-chunked streaming over bandwidth-limited
 // 1 ms links, in the lopsided (big local triangle) shape and the
 // both-partitions-large shape whose dominant payload is the pairwise S
 // matrix.
 func BenchmarkSessionStream(b *testing.B) {
-	b.Run("pipelined-mono", func(b *testing.B) { benchStreamSession(b, -1, 1200, 6) })
+	b.Run("pipelined-mono", func(b *testing.B) { benchStreamSession(b, 1<<30, 1200, 6) })
 	b.Run("streamed", func(b *testing.B) { benchStreamSession(b, 256<<10, 1200, 6) })
-	b.Run("both-large-mono", func(b *testing.B) { benchStreamSession(b, -1, 600, 600) })
+	b.Run("both-large-mono", func(b *testing.B) { benchStreamSession(b, 1<<30, 600, 600) })
 	b.Run("both-large-streamed", func(b *testing.B) { benchStreamSession(b, 256<<10, 600, 600) })
 }

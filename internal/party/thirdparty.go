@@ -306,9 +306,10 @@ func (tp *ThirdParty) run() (*TPReport, error) {
 	// the surplus conduits stay idle on both sides.
 	ranges := dissim.ShardRanges(total, k)
 	if k == 1 {
-		// Single-TP holders send every schedule unrestricted — an empty
-		// holder its one empty chunk — so even an all-empty census needs
-		// a (then empty) range whose producer drains those frames.
+		// The single TP's one producer also runs the tag-attribute stages,
+		// so even an all-empty census (no range from ShardRanges) gets a
+		// (then empty) range whose producer runs them. Its comparison
+		// lanes have all-zero quotas, like every empty intersection.
 		ranges = [][2]int{{0, total}}
 	}
 	core := tp.core()
@@ -477,7 +478,7 @@ func (tp *ThirdParty) census() error {
 }
 
 // checkPairChunk validates one received S/M chunk frame against the
-// shared pairChunks schedule. Responder and third party derive the
+// shared pairChunksRange schedule. Responder and third party derive the
 // schedule from the same Config and census, so a frame that claims a
 // different row count or covers a different range — duplicated,
 // out-of-order or misdrawn chunks — is a protocol error, reported

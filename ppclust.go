@@ -240,8 +240,8 @@ type Options struct {
 	// attribute thus overlaps that attribute's own wire time, and no
 	// session message grows with the partition — session size is
 	// memory-bound rather than capped by the transport's frame limit.
-	// 0 (the default) uses 256 KiB; negative restores the monolithic
-	// one-frame-per-payload wire shape. Like Parallelism, the knob is
+	// 0 (the default) uses 256 KiB; negative is refused. A budget larger
+	// than a payload sends it as one frame. Like Parallelism, the knob is
 	// pure scheduling: chunking changes framing only, never values, so
 	// results are bit-identical at every setting. See docs/WIRE.md for
 	// the chunk-frame schemas.
